@@ -9,7 +9,7 @@ predicts sequences from each compressed representation.
 
 Modules:
 
-* ``linalg``   - dense float64 helpers and a Jacobi eigensolver
+* ``linalg``   - dense float64 helpers and a sign-fixed LAPACK eigensolver
 * ``graphs``   - the three graph constructions and their Laplacians
 * ``spectral`` - truncated graph Fourier transform
 * ``ae``       - tied-weight linear autoencoder and its training

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -253,6 +255,8 @@ class _Codec:
     enc: object  # (K, n) -> (K, m)
     dec: object  # (K, m) -> (K, n)
     loss_history: np.ndarray | None = None
+    eig_gap: float | None = None
+    eig_multiplicity: int | None = None
 
     def reconstruction_mse(self, frames) -> float:
         return linalg.mse(frames, self.dec(self.enc(frames)))
@@ -264,18 +268,29 @@ def _quantize(arr: np.ndarray) -> np.ndarray:
     return arr.astype(np.float32).astype(np.float64)
 
 
+#: version of the cached spectral basis layout and conventions; bump it
+#: whenever the bases :func:`linalg.sym_eig` returns change (2: LAPACK
+#: with fixed eigenvector signs), so older cache entries are not reused
+_BASIS_FORMAT = 2
+
+
 def _cache_file(config, kind: str, n: int, m: int) -> Path | None:
     if config.codec_cache_dir is None:
         return None
+    # key each kind only on what determines it
     relevant = {
         "dataset": config.dataset,
         "seed": config.seed,
         "train_fraction": config.train_fraction,
         "kind": kind,
-        "keep_fraction": config.keep_fraction,
-        "ae_schedule": (_schedule_to_dict(config.ae_schedule)
-                        if config.ae_schedule else None),
     }
+    if kind == "ae":
+        relevant["ae_schedule"] = (_schedule_to_dict(config.ae_schedule)
+                                   if config.ae_schedule else None)
+    else:
+        relevant["basis_format"] = _BASIS_FORMAT
+    if kind == "gft-corr":
+        relevant["keep_fraction"] = config.keep_fraction
     blob = json.dumps(relevant, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
     out = Path(config.codec_cache_dir)
@@ -283,12 +298,61 @@ def _cache_file(config, kind: str, n: int, m: int) -> Path | None:
     return out / f"{kind}_n{n}_m{m}_{digest}.gts"
 
 
+def _read_cache(path: Path | None, shape: tuple) -> np.ndarray | None:
+    """A cached array, or None on a miss.
+
+    An entry that cannot be read or has the wrong shape (e.g. a file
+    truncated by an interrupted run) counts as a miss: it is reported
+    on stderr and the caller recomputes and overwrites it.
+    """
+    if path is None or not path.exists():
+        return None
+    try:
+        dims, values = data.load_tensor(path)
+    except (OSError, ValueError) as exc:
+        problem = str(exc)
+    else:
+        if dims == shape:
+            return values
+        problem = f"dims {dims}, expected {shape}"
+    print(f"warning: ignoring codec cache entry {path}: {problem}; "
+          f"recomputing", file=sys.stderr)
+    return None
+
+
+def _write_cache(path: Path, values: np.ndarray) -> None:
+    """Write a cache entry atomically: a temp file, then a rename."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        data.save_tensor(tmp, values.shape, values)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _eig_diagnostics(eigenvalues: np.ndarray, m: int) -> tuple:
+    """(gap, multiplicity) of the cut after the m lowest eigenvalues.
+
+    The gap is lambda_{m+1} - lambda_m (None when m = n); the
+    multiplicity counts eigenvalues within ``1e-9 * max(1, lambda_max)``
+    of lambda_m.  A gap within that tolerance (so a multiplicity above
+    1) means the cut splits a degenerate eigenspace: the retained span,
+    and every number computed from it, depends on which vectors of that
+    eigenspace the solver returned.
+    """
+    lam = eigenvalues[m - 1]
+    gap = float(eigenvalues[m] - lam) if m < len(eigenvalues) else None
+    tol = 1e-9 * max(1.0, float(eigenvalues[-1]))
+    return gap, int(np.sum(np.abs(eigenvalues - lam) <= tol))
+
+
 def _full_basis(config, method: str, train_frames: np.ndarray,
                 frame_shape) -> spectral.SpectralBasis:
     n = train_frames.shape[1]
     cache = _cache_file(config, method, n, n)
-    if cache is not None and cache.exists():
-        _, packed = data.load_tensor(cache)
+    packed = _read_cache(cache, (n + 1, n))
+    if packed is not None:
         return spectral.SpectralBasis(n, n, packed[1:], packed[0])
     if method == "gft-grid":
         graph = graphs.grid_graph(*frame_shape)
@@ -300,8 +364,8 @@ def _full_basis(config, method: str, train_frames: np.ndarray,
         raise ValueError(f"not a spectral method: {method}")
     basis = spectral.compute_basis(graphs.laplacian(graph), n)
     if cache is not None:
-        packed = np.vstack([basis.eigenvalues[None, :], basis.basis])
-        data.save_tensor(cache, packed.shape, packed)
+        _write_cache(cache, np.vstack([basis.eigenvalues[None, :],
+                                       basis.basis]))
         basis = spectral.SpectralBasis(n, n, _quantize(basis.basis),
                                        _quantize(basis.eigenvalues))
     return basis
@@ -315,8 +379,8 @@ def _fit_codec(config, method: str, m: int, train_frames: np.ndarray,
         return _Codec("raw", n, identity, identity)
     if method == "ae":
         cache = _cache_file(config, "ae", n, m)
-        if cache is not None and cache.exists():
-            _, a = data.load_tensor(cache)
+        a = _read_cache(cache, (n, m))
+        if a is not None:
             codec = ae.LinearCodec(n, m, a)
             history = None
         else:
@@ -327,7 +391,7 @@ def _fit_codec(config, method: str, m: int, train_frames: np.ndarray,
                                       _stream(config.seed,
                                               _STREAM_AE_TRAIN, m))
             if cache is not None:
-                data.save_tensor(cache, codec.a.shape, codec.a)
+                _write_cache(cache, codec.a)
                 codec = ae.LinearCodec(n, m, _quantize(codec.a))
         return _Codec("ae", m,
                       lambda x, c=codec: ae.encode_frames(c, x),
@@ -337,10 +401,13 @@ def _fit_codec(config, method: str, m: int, train_frames: np.ndarray,
     if method not in full_bases:
         full_bases[method] = _full_basis(config, method, train_frames,
                                          frame_shape)
-    basis = spectral.truncate(full_bases[method], m)
+    full = full_bases[method]
+    basis = spectral.truncate(full, m)
+    gap, multiplicity = _eig_diagnostics(full.eigenvalues, m)
     return _Codec(method, m,
                   lambda x, b=basis: spectral.encode_frames(b, x),
-                  lambda z, b=basis: spectral.decode_frames(b, z))
+                  lambda z, b=basis: spectral.decode_frames(b, z),
+                  eig_gap=gap, eig_multiplicity=multiplicity)
 
 
 def _validate_compatibility(config: ExperimentConfig,
@@ -386,6 +453,8 @@ class ReportCell:
     ae_loss_history: list | None = None
     lstm_loss_history: list | None = None
     sample_prediction: np.ndarray | None = None  # (frames, n), not serialised
+    eig_gap: float | None = None          # spectral cells only
+    eig_multiplicity: int | None = None   # spectral cells only
 
 
 @dataclass
@@ -413,6 +482,8 @@ def report_to_dict(report: Report) -> dict:
                 "pred_mse": cell.pred_mse,
                 "ae_loss_history": cell.ae_loss_history,
                 "lstm_loss_history": cell.lstm_loss_history,
+                "eig_gap": cell.eig_gap,
+                "eig_multiplicity": cell.eig_multiplicity,
             }
             for cell in report.cells
         ],
@@ -429,7 +500,9 @@ def report_from_dict(d: dict) -> Report:
         cells=[ReportCell(method=c["method"], m=c["m"],
                           recon_mse=c["recon_mse"], pred_mse=c["pred_mse"],
                           ae_loss_history=c["ae_loss_history"],
-                          lstm_loss_history=c["lstm_loss_history"])
+                          lstm_loss_history=c["lstm_loss_history"],
+                          eig_gap=c.get("eig_gap"),
+                          eig_multiplicity=c.get("eig_multiplicity"))
                for c in d["cells"]],
     )
 
@@ -460,6 +533,8 @@ def run_reconstruction_experiment(config: ExperimentConfig) -> Report:
                 recon_mse=codec.reconstruction_mse(test_frames),
                 ae_loss_history=(None if codec.loss_history is None
                                  else [float(v) for v in codec.loss_history]),
+                eig_gap=codec.eig_gap,
+                eig_multiplicity=codec.eig_multiplicity,
             ))
     return Report("reconstruction", config.seed, config.source,
                   config_hash(config), time.perf_counter() - start, cells)
@@ -524,6 +599,8 @@ def run_prediction_experiment(config: ExperimentConfig) -> Report:
                                  else [float(v) for v in codec.loss_history]),
                 lstm_loss_history=[float(v) for v in history],
                 sample_prediction=sample,
+                eig_gap=codec.eig_gap,
+                eig_multiplicity=codec.eig_multiplicity,
             ))
     return Report("prediction", config.seed, config.source,
                   config_hash(config), time.perf_counter() - start, cells)

@@ -3,10 +3,10 @@
 Matrices are plain 2-D row-major ``numpy`` arrays and vectors are 1-D
 arrays; :func:`as_matrix` / :func:`as_vector` coerce and validate inputs
 at module boundaries (shape, finiteness).  Products and reductions
-delegate to numpy.  The symmetric eigendecomposition is a cyclic Jacobi
-iteration: simple, robust for the dense desk-scale problems this
-package targets, and accurate enough that downstream bases are
-orthonormal to near machine precision.
+delegate to numpy.  The symmetric eigendecomposition is LAPACK's
+(``np.linalg.eigh``) with one fixed sign per eigenvector, so a basis
+is a function of the matrix alone except inside degenerate
+eigenspaces, where only the span is determined.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ import numpy as np
 #: absolute tolerance under which an input counts as symmetric
 SYMMETRY_ATOL = 1e-10
 
-#: Jacobi stops once the off-diagonal Frobenius norm drops below
-#: this fraction of the full matrix Frobenius norm
-_JACOBI_REL_TOL = 1e-12
+#: an eigenvector entry within this relative distance of its column's
+#: peak magnitude counts as a peak for the sign convention of
+#: :func:`sym_eig`
+SIGN_RTOL = 1e-8
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -60,53 +61,28 @@ def mse(a, b) -> float:
     return float(np.mean(d * d))
 
 
-def _round_robin_pairs(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Partition all index pairs of {0..n-1} into rounds of disjoint pairs.
-
-    Circle-method tournament schedule: n-1 rounds (n even) each pairing
-    every index exactly once, so every unordered pair occurs exactly
-    once per full cycle.  Rotations on disjoint planes commute, which
-    lets a round be applied as one batched update.
-    """
-    players = list(range(n))
-    if n % 2 == 1:
-        players.append(-1)  # bye
-    size = len(players)
-    rounds = []
-    for _ in range(size - 1):
-        ps, qs = [], []
-        for i in range(size // 2):
-            x, y = players[i], players[size - 1 - i]
-            if x < 0 or y < 0:
-                continue
-            ps.append(min(x, y))
-            qs.append(max(x, y))
-        rounds.append((np.array(ps, dtype=np.intp), np.array(qs, dtype=np.intp)))
-        players = [players[0], players[-1]] + players[1:-1]
-    return rounds
-
-
-def sym_eig(s, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def sym_eig(s) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a symmetric matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted
     ascending and eigenvectors as orthonormal columns, i.e.
     ``s ~= eigenvectors @ np.diag(eigenvalues) @ eigenvectors.T``.
-    Eigenvector signs (and the order within a degenerate eigenspace)
-    are not specified; callers must not rely on them.
 
-    Implementation: cyclic Jacobi with a round-robin pair ordering.
-    Each sweep visits every off-diagonal pair once and applies a Givens
-    rotation per non-negligible pivot; the pairs of one round are
-    disjoint, so their rotations commute and a whole round is applied
-    as a single vectorised update.  The accumulated rotations form the
-    eigenvector matrix, so its columns are orthonormal by construction.
-    Sweeps repeat until the off-diagonal Frobenius norm falls below
-    ``1e-12 * ||s||_F``.
+    The solver is LAPACK's symmetric eigensolver (``np.linalg.eigh``) on
+    ``(s + s.T) / 2``.  Each column's sign is then fixed: the first
+    entry whose magnitude is within a relative ``SIGN_RTOL`` of the
+    column's peak magnitude is made positive.  Taking the *first* such
+    entry, not the arg-max, keeps the choice stable on the mirror-equal
+    entries of path and grid eigenvectors, where rounding decides which
+    of two equal magnitudes is larger.  So a column of a simple
+    eigenvalue is a fixed function of ``s`` up to rounding, whatever
+    LAPACK build or eigensolver produced it.
+    Inside a degenerate eigenspace the basis (not only the signs) is
+    still the solver's choice; callers must rely only on its span there.
 
-    Raises ``ValueError`` for non-square or non-symmetric input and
-    ``ArithmeticError`` if the iteration does not converge within
-    ``max_sweeps`` sweeps (does not happen for symmetric input).
+    Raises ``ValueError`` for non-square, non-symmetric or non-finite
+    input, and ``np.linalg.LinAlgError`` (a ``ValueError``) if LAPACK
+    does not converge.
     """
     a = as_matrix(s, "matrix")
     n = a.shape[0]
@@ -117,70 +93,9 @@ def sym_eig(s, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
     if float(np.max(np.abs(a - a.T))) > SYMMETRY_ATOL:
         raise ValueError(f"matrix is not symmetric within {SYMMETRY_ATOL:g}")
 
-    A = (a + a.T) / 2.0  # make the ~1e-10 asymmetry exactly zero
-    V = np.eye(n)
-    norm = float(np.linalg.norm(A))
-    if n == 1 or norm == 0.0:
-        return np.diag(A).copy(), V
-
-    off_target2 = (_JACOBI_REL_TOL * norm) ** 2
-    # with every pivot below `skip`, off^2 < n^2 skip^2 = target^2
-    skip = _JACOBI_REL_TOL * norm / n
-    rounds = _round_robin_pairs(n)
-
-    scratch = np.empty_like(A)
-    for _ in range(max_sweeps):
-        # off-diagonal Frobenius norm, summed directly (the difference
-        # sum(A^2) - sum(diag^2) cancels catastrophically near convergence)
-        np.copyto(scratch, A)
-        np.fill_diagonal(scratch, 0.0)
-        off2 = float(np.sum(scratch * scratch))
-        if off2 <= off_target2:
-            break
-        for p_all, q_all in rounds:
-            pivots = A[p_all, q_all]
-            active = np.abs(pivots) > skip
-            if not active.any():
-                continue
-            p = p_all[active]
-            q = q_all[active]
-            apq = pivots[active]
-            app = A[p, p]
-            aqq = A[q, q]
-
-            tau = (aqq - app) / (2.0 * apq)
-            # t = sign(tau) / (|tau| + sqrt(1 + tau^2)), the smaller root,
-            # keeps the rotation angle within +-pi/4
-            t = np.where(tau >= 0.0, 1.0, -1.0) / (
-                np.abs(tau) + np.sqrt(1.0 + tau * tau)
-            )
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            sn = t * c
-
-            rp = A[p, :]  # fancy indexing copies
-            rq = A[q, :]
-            A[p, :] = c[:, None] * rp - sn[:, None] * rq
-            A[q, :] = sn[:, None] * rp + c[:, None] * rq
-            cp = A[:, p]
-            cq = A[:, q]
-            A[:, p] = cp * c - cq * sn
-            A[:, q] = cp * sn + cq * c
-            # the 2x2 pivot blocks have closed forms; writing them
-            # directly keeps the zeroed pivots exact
-            A[p, p] = app - t * apq
-            A[q, q] = aqq + t * apq
-            A[p, q] = 0.0
-            A[q, p] = 0.0
-
-            vp = V[:, p]
-            vq = V[:, q]
-            V[:, p] = vp * c - vq * sn
-            V[:, q] = vp * sn + vq * c
-    else:
-        raise ArithmeticError(
-            f"Jacobi eigensolver did not converge in {max_sweeps} sweeps"
-        )
-
-    eigenvalues = np.diag(A).copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    return eigenvalues[order], V[:, order]
+    # make the ~1e-10 asymmetry exactly zero
+    eigenvalues, eigenvectors = np.linalg.eigh((a + a.T) / 2.0)
+    mags = np.abs(eigenvectors)
+    lead = np.argmax(mags >= (1.0 - SIGN_RTOL) * mags.max(axis=0), axis=0)
+    eigenvectors *= np.where(eigenvectors[lead, np.arange(n)] < 0.0, -1.0, 1.0)
+    return eigenvalues, eigenvectors

@@ -183,6 +183,100 @@ class TestCodecCache:
         for c1, c2 in zip(r1.cells, r2.cells):
             assert c1.recon_mse == c2.recon_mse
 
+    def test_cache_key_holds_only_determining_fields(self, tmp_path):
+        base = _tiny_config(methods=["gft-grid", "gft-geo"], latent_dims=[4],
+                            codec_cache_dir=str(tmp_path / "cache"))
+        other = dict(base, keep_fraction=0.3,
+                     ae_schedule=dict(base["ae_schedule"], epochs=3))
+        a = harness.config_from_dict(base)
+        b = harness.config_from_dict(other)
+        for kind in ("gft-grid", "gft-geo"):
+            assert (harness._cache_file(a, kind, 36, 36)
+                    == harness._cache_file(b, kind, 36, 36))
+        for kind in ("gft-corr", "ae"):
+            assert (harness._cache_file(a, kind, 36, 36)
+                    != harness._cache_file(b, kind, 36, 36))
+        # a cache filled under another ae_schedule serves b like a cold run
+        harness.run_reconstruction_experiment(a)
+        warm = harness.run_reconstruction_experiment(b)
+        cold = harness.run_reconstruction_experiment(harness.config_from_dict(
+            dict(other, codec_cache_dir=str(tmp_path / "cold"))))
+        harness.emit_report(warm, tmp_path / "warm")
+        harness.emit_report(cold, tmp_path / "cold-out")
+        assert ((tmp_path / "warm" / "report.csv").read_bytes()
+                == (tmp_path / "cold-out" / "report.csv").read_bytes())
+
+    def test_basis_format_version_changes_spectral_keys(self, tmp_path,
+                                                        monkeypatch):
+        config = harness.config_from_dict(
+            _tiny_config(codec_cache_dir=str(tmp_path)))
+        before = {kind: harness._cache_file(config, kind, 36, 36)
+                  for kind in ("gft-grid", "gft-corr", "ae")}
+        monkeypatch.setattr(harness, "_BASIS_FORMAT",
+                            harness._BASIS_FORMAT + 1)
+        after = {kind: harness._cache_file(config, kind, 36, 36)
+                 for kind in before}
+        assert before["gft-grid"] != after["gft-grid"]
+        assert before["gft-corr"] != after["gft-corr"]
+        assert before["ae"] == after["ae"]
+
+    def test_truncated_entries_are_recomputed(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        config = harness.config_from_dict(_tiny_config(
+            methods=["gft-grid", "ae"], latent_dims=[4],
+            codec_cache_dir=str(cache)))
+        harness.emit_report(harness.run_reconstruction_experiment(config),
+                            tmp_path / "cold")
+        entries = sorted(cache.iterdir())
+        assert [e.name.split("_")[0] for e in entries] == ["ae", "gft-grid"]
+        sizes = [e.stat().st_size for e in entries]
+        for entry in entries:  # as an interrupted write would leave them
+            entry.write_bytes(entry.read_bytes()[:entry.stat().st_size // 2])
+        capsys.readouterr()
+        harness.emit_report(harness.run_reconstruction_experiment(config),
+                            tmp_path / "rerun")
+        assert capsys.readouterr().err.count("warning: ignoring") == 2
+        assert [e.stat().st_size for e in entries] == sizes
+        assert sorted(cache.iterdir()) == entries  # no temp files left
+        assert ((tmp_path / "cold" / "report.csv").read_bytes()
+                == (tmp_path / "rerun" / "report.csv").read_bytes())
+
+
+class TestEigDiagnostics:
+    def test_gap_and_multiplicity_on_grid(self, tmp_path):
+        # 6x6 grid: eigenvalues 0, 2-sqrt(3) (twice), 4-2sqrt(3), 1, ...
+        config = harness.config_from_dict(_tiny_config(
+            methods=["gft-grid", "ae"], latent_dims=[2, 4, 36],
+            ae_schedule={"epochs": 1, "batch_size": 10, "lr0": 0.01}))
+        report = harness.run_reconstruction_experiment(config)
+        cells = {(c.method, c.m): c for c in report.cells}
+        assert cells["gft-grid", 2].eig_multiplicity == 2
+        assert abs(cells["gft-grid", 2].eig_gap) < 1e-12
+        assert cells["gft-grid", 4].eig_multiplicity == 1
+        assert abs(cells["gft-grid", 4].eig_gap
+                   - (2.0 * np.sqrt(3.0) - 3.0)) < 1e-12
+        assert cells["gft-grid", 36].eig_gap is None
+        assert cells["gft-grid", 36].eig_multiplicity == 1
+        assert cells["ae", 4].eig_gap is None
+        assert cells["ae", 4].eig_multiplicity is None
+        harness.emit_report(report, tmp_path)
+        raw = json.loads((tmp_path / "report.json").read_text())
+        loaded = harness.report_from_dict(raw)
+        for a, b in zip(loaded.cells, report.cells):
+            assert a.eig_gap == b.eig_gap
+            assert a.eig_multiplicity == b.eig_multiplicity
+        assert "eig" not in (tmp_path / "report.csv").read_text()
+
+    def test_reports_without_diagnostics_still_load(self):
+        config = harness.config_from_dict(_tiny_config(methods=["gft-grid"],
+                                                       latent_dims=[4]))
+        d = harness.report_to_dict(harness.run_reconstruction_experiment(config))
+        for cell in d["cells"]:
+            del cell["eig_gap"], cell["eig_multiplicity"]
+        loaded = harness.report_from_dict(d)
+        assert loaded.cells[0].eig_gap is None
+        assert loaded.cells[0].eig_multiplicity is None
+
 
 class TestEmitReport:
     def test_csv_row_count_and_round_trip(self, tmp_path):

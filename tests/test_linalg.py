@@ -1,7 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
-from gtslatent import linalg
+from gtslatent import graphs, linalg
 from gtslatent.rng import Rng
 
 
@@ -93,7 +95,46 @@ def _path_laplacian(n):
     return np.diag(w.sum(axis=1)) - w
 
 
+def _sign_fixed(vecs):
+    """Oracle of the sign convention, one column at a time."""
+    out = vecs.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        peak = np.max(np.abs(col))
+        lead = next(i for i in range(len(col))
+                    if abs(col[i]) >= (1.0 - 1e-8) * peak)
+        if col[lead] < 0.0:
+            out[:, j] = -col
+    return out
+
+
 class TestSymEig:
+    def test_path_laplacian_matches_signed_dct_oracle(self):
+        # the path Laplacian's eigenvectors are the DCT-II vectors, with
+        # distinct eigenvalues 2 - 2 cos(pi k / n); compared exactly,
+        # not up to sign
+        for n in range(2, 65):
+            _, vecs = linalg.sym_eig(_path_laplacian(n))
+            i = np.arange(n)[:, None] + 0.5
+            k = np.arange(n)[None, :]
+            dct = np.cos(np.pi * k * i / n)
+            dct /= np.linalg.norm(dct, axis=0)
+            err = np.max(np.abs(vecs - _sign_fixed(dct)))
+            assert err < 1e-10, f"n={n}: max column error {err:.3g}"
+
+    def test_full_scale_grid_laplacian(self):
+        # the 45x45 crop graph (n=2025) of the full-scale configuration
+        lap = graphs.laplacian(graphs.grid_graph(45, 45))
+        start = time.perf_counter()
+        vals, vecs = linalg.sym_eig(lap)
+        elapsed = time.perf_counter() - start
+        residual = np.linalg.norm(lap @ vecs - vecs * vals)
+        assert residual <= 1e-10 * np.linalg.norm(lap)
+        assert np.linalg.norm(vecs.T @ vecs - np.eye(2025)) <= 1e-10
+        assert np.all(np.diff(vals) >= 0.0)
+        # ~1 s on a 2-core x86_64 box; loose so a loaded machine passes
+        assert elapsed < 60.0
+
     def test_2x2_closed_form(self):
         vals, vecs = linalg.sym_eig([[1.0, -1.0], [-1.0, 1.0]])
         assert np.allclose(vals, [0.0, 2.0], atol=1e-12)
