@@ -91,12 +91,19 @@ def loss_and_grad(codec: LinearCodec, batch) -> tuple[float, np.ndarray]:
         raise ValueError("batch must be non-empty")
     if x.shape[1] != codec.n:
         raise ValueError(f"frame length {x.shape[1]} != n={codec.n}")
-    a = codec.a
+    return _loss_and_grad(codec.a, x)
+
+
+def _loss_and_grad(a: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Unchecked kernel of :func:`loss_and_grad` for a validated (B, n) batch."""
     b, n = x.shape
     z = x @ a                 # (B, m) latents
-    r = z @ a.T - x           # (B, n) residuals
+    r = z @ a.T               # (B, n) residuals
+    r -= x
     loss = float(np.mean(r * r))
-    grad = (2.0 / (b * n)) * (r.T @ z + x.T @ (r @ a))
+    grad = r.T @ z
+    grad += x.T @ (r @ a)
+    grad *= 2.0 / (b * n)
     return loss, grad
 
 
@@ -122,6 +129,11 @@ def train(codec: LinearCodec, frames, schedule: TrainSchedule,
     Returns the trained codec and the per-epoch mean training loss
     (batch losses weighted by batch size).  The mini-batch order is
     reshuffled every epoch; a final partial batch is used as-is.
+
+    The frames are validated once, on entry.  Each batch then runs the
+    unchecked loss kernel on the working matrix and one Adam step; no
+    codec is built until the end.  A step that leaves a non-finite
+    entry raises the ``ValueError`` that building the codec would.
     """
     x = linalg.as_matrix(frames, "frames")
     if x.shape[0] == 0:
@@ -138,12 +150,14 @@ def train(codec: LinearCodec, frames, schedule: TrainSchedule,
         lr, wd = schedule_at(schedule, epoch)
         order = list(range(num))
         rng.shuffle(order)
+        order = np.array(order)
         total = 0.0
         for start in range(0, num, schedule.batch_size):
             chunk = order[start:start + schedule.batch_size]
-            loss, grad = loss_and_grad(LinearCodec(codec.n, codec.m, a),
-                                       x[chunk])
+            loss, grad = _loss_and_grad(a, x[chunk])
             a = adam_step(state, a, grad, lr, wd)
+            if not np.isfinite(a).all():
+                raise ValueError("codec matrix contains non-finite entries")
             total += loss * len(chunk)
         history[epoch] = total / num
     return LinearCodec(codec.n, codec.m, a), history

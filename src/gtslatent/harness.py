@@ -588,8 +588,7 @@ def run_prediction_experiment(config: ExperimentConfig) -> Report:
 
             sample = None
             if config.dump_predictions:
-                preds, _ = lstm._forward(trained, z_test[:1], config.warmup,
-                                         keep_cache=False)
+                preds = lstm.rollout(trained, z_test[:1], config.warmup)
                 sample = decode_fn(preds[0, config.warmup - 1:, :])
             cells.append(ReportCell(
                 method=method, m=m,

@@ -99,9 +99,9 @@ def init_cell(m: int, seed: int) -> LstmCell:
 
 def _sigmoid(z):
     # exp overflow on the negative tail saturates to inf, and
-    # 1/(1+inf) == 0 is exactly the right limit
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
+    # 1/(1+inf) == 0 is exactly the right limit; callers run under
+    # np.errstate(over="ignore") so that overflow is not reported
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 def step(cell: LstmCell, x, state: LstmState) -> LstmState:
@@ -118,10 +118,11 @@ def step(cell: LstmCell, x, state: LstmState) -> LstmState:
     if h.shape[0] != cell.m or c.shape[0] != cell.m:
         raise ValueError("state dimension does not match the cell")
 
-    i = _sigmoid(cell.w_ii @ v + cell.b_ii + cell.w_hi @ h + cell.b_hi)
-    f = _sigmoid(cell.w_if @ v + cell.b_if + cell.w_hf @ h + cell.b_hf)
-    g = np.tanh(cell.w_ig @ v + cell.b_ig + cell.w_hg @ h + cell.b_hg)
-    o = _sigmoid(cell.w_io @ v + cell.b_io + cell.w_ho @ h + cell.b_ho)
+    with np.errstate(over="ignore"):
+        i = _sigmoid(cell.w_ii @ v + cell.b_ii + cell.w_hi @ h + cell.b_hi)
+        f = _sigmoid(cell.w_if @ v + cell.b_if + cell.w_hf @ h + cell.b_hf)
+        g = np.tanh(cell.w_ig @ v + cell.b_ig + cell.w_hg @ h + cell.b_hg)
+        o = _sigmoid(cell.w_io @ v + cell.b_io + cell.w_ho @ h + cell.b_ho)
     c_new = f * c + i * g
     h_new = o * np.tanh(c_new)
     return LstmState(h_new, c_new)
@@ -171,31 +172,37 @@ def _forward(cell: LstmCell, batch: np.ndarray, warmup: int,
     c = np.zeros((bsz, m))
     preds = np.empty((bsz, t_total - 1, m))
     cache = []
-    for k in range(t_total - 1):
-        x = batch[:, k, :] if k < warmup else preds[:, k - 1, :]
-        i = _sigmoid(x @ cell.w_ii.T + cell.b_ii + h @ cell.w_hi.T + cell.b_hi)
-        f = _sigmoid(x @ cell.w_if.T + cell.b_if + h @ cell.w_hf.T + cell.b_hf)
-        g = np.tanh(x @ cell.w_ig.T + cell.b_ig + h @ cell.w_hg.T + cell.b_hg)
-        o = _sigmoid(x @ cell.w_io.T + cell.b_io + h @ cell.w_ho.T + cell.b_ho)
-        c_new = f * c + i * g
-        tc = np.tanh(c_new)
-        h_new = o * tc
-        if keep_cache:
-            cache.append((x, h, c, i, f, g, o, tc))
-        h, c = h_new, c_new
-        preds[:, k, :] = h_new
+    with np.errstate(over="ignore"):  # see _sigmoid
+        for k in range(t_total - 1):
+            x = batch[:, k, :] if k < warmup else preds[:, k - 1, :]
+            i = _sigmoid(x @ cell.w_ii.T + cell.b_ii + h @ cell.w_hi.T
+                         + cell.b_hi)
+            f = _sigmoid(x @ cell.w_if.T + cell.b_if + h @ cell.w_hf.T
+                         + cell.b_hf)
+            g = np.tanh(x @ cell.w_ig.T + cell.b_ig + h @ cell.w_hg.T
+                        + cell.b_hg)
+            o = _sigmoid(x @ cell.w_io.T + cell.b_io + h @ cell.w_ho.T
+                         + cell.b_ho)
+            c_new = f * c + i * g
+            tc = np.tanh(c_new)
+            h_new = o * tc
+            if keep_cache:
+                cache.append((x, h, c, i, f, g, o, tc))
+            h, c = h_new, c_new
+            preds[:, k, :] = h_new
     return preds, cache
 
 
 def _backward(cell: LstmCell, warmup: int, preds: np.ndarray, cache,
-              dpreds: np.ndarray) -> dict[str, np.ndarray]:
+              dpreds: np.ndarray, grads: dict[str, np.ndarray]) -> None:
     """Exact BPTT through the forward graph of :func:`_forward`.
 
     ``dpreds`` is the loss gradient w.r.t. each prediction.  Where a
     prediction was fed back as the next input, its gradient receives
-    the input path on top of the recurrent path.
+    the input path on top of the recurrent path.  The parameter
+    gradients are added into ``grads`` (one array per parameter name),
+    so pass zeroed arrays to get the gradient itself.
     """
-    grads = {name: np.zeros_like(arr) for name, arr in cell.params().items()}
     steps = preds.shape[1]
     dh_carry = np.zeros_like(preds[:, 0, :])
     dc_carry = np.zeros_like(dh_carry)
@@ -237,7 +244,6 @@ def _backward(cell: LstmCell, warmup: int, preds: np.ndarray, cache,
                     + dag @ cell.w_hg + dao @ cell.w_ho)
         if k >= warmup:  # input was preds[:, k-1, :]
             dh_carry = dh_carry + dx
-    return grads
 
 
 def _batch_loss(cell: LstmCell, batch: np.ndarray, warmup: int):
@@ -260,16 +266,28 @@ def loss_and_grad(cell: LstmCell, frames, warmup: int):
     if f.shape[1] != cell.m:
         raise ValueError(f"frame length {f.shape[1]} != m={cell.m}")
     loss, preds, cache, dpreds = _batch_loss(cell, f[None, :, :], warmup)
-    grads = _backward(cell, warmup, preds, cache, dpreds)
+    grads = {name: np.zeros_like(arr) for name, arr in cell.params().items()}
+    _backward(cell, warmup, preds, cache, dpreds, grads)
     return loss, grads
 
 
-def _clip_grads(grads: dict, max_norm: float):
+def _views(flat: np.ndarray, like: dict) -> dict[str, np.ndarray]:
+    """Views of ``flat`` shaped like the arrays of ``like``, back to back."""
+    views, offset = {}, 0
+    for name, arr in like.items():
+        views[name] = flat[offset:offset + arr.size].reshape(arr.shape)
+        offset += arr.size
+    return views
+
+
+def _clip_grads(grads: dict, flat: np.ndarray, max_norm: float):
+    """Scale ``flat``, whose views are ``grads``, to global norm ``max_norm``.
+
+    The squared norm is summed per tensor, in ``grads`` order.
+    """
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if total > max_norm:
-        scale = max_norm / total
-        for name in grads:
-            grads[name] = grads[name] * scale
+        flat *= max_norm / total
 
 
 def train(cell: LstmCell, sequences, schedule: TrainSchedule, warmup: int,
@@ -280,6 +298,14 @@ def train(cell: LstmCell, sequences, schedule: TrainSchedule, warmup: int,
     (the batched loss already normalises by batch size).  Optional
     global-norm gradient clipping is off by default.  Returns the
     trained cell and per-epoch mean training loss.
+
+    The sequences are validated once, on entry.  The 16 parameters and
+    their gradients live as views in two flat buffers; the working cell
+    is built and validated once, over the parameter views.  Each batch
+    zeroes the gradient buffer, accumulates into it, and makes one Adam
+    step over the whole parameter buffer.  A step that leaves a
+    non-finite entry raises the ``ValueError`` that building the cell
+    would.  The returned cell holds copies of the parameters.
     """
     s = np.asarray(sequences, dtype=np.float64)
     if s.ndim != 3 or s.shape[0] == 0:
@@ -291,28 +317,36 @@ def train(cell: LstmCell, sequences, schedule: TrainSchedule, warmup: int,
         raise ValueError(f"frame length {s.shape[2]} != m={cell.m}")
 
     rng = Rng(seed)
-    params = {name: arr.copy() for name, arr in cell.params().items()}
-    states = {name: adam_init(arr.shape) for name, arr in params.items()}
+    initial = cell.params()
+    pflat = np.concatenate([arr.ravel() for arr in initial.values()])
+    gflat = np.zeros_like(pflat)
+    params, grads = _views(pflat, initial), _views(gflat, initial)
+    current = cell_from_params(cell.m, params)
+    state = adam_init(pflat.shape)
     num = s.shape[0]
     history = np.zeros(schedule.epochs)
     for epoch in range(schedule.epochs):
         lr, wd = schedule_at(schedule, epoch)
         order = list(range(num))
         rng.shuffle(order)
+        order = np.array(order)
         total = 0.0
         for start in range(0, num, schedule.batch_size):
             chunk = order[start:start + schedule.batch_size]
-            current = cell_from_params(cell.m, params)
             loss, preds, cache, dpreds = _batch_loss(current, s[chunk], warmup)
-            grads = _backward(current, warmup, preds, cache, dpreds)
+            gflat[...] = 0.0
+            _backward(current, warmup, preds, cache, dpreds, grads)
             if grad_clip is not None:
-                _clip_grads(grads, grad_clip)
-            for name in PARAM_NAMES:
-                params[name] = adam_step(states[name], params[name],
-                                         grads[name], lr, wd)
+                _clip_grads(grads, gflat, grad_clip)
+            pflat[...] = adam_step(state, pflat, gflat, lr, wd)
+            if not np.isfinite(pflat).all():
+                bad = next(name for name, arr in params.items()
+                           if not np.isfinite(arr).all())
+                raise ValueError(f"{bad} contains non-finite entries")
             total += loss * len(chunk)
         history[epoch] = total / num
-    return cell_from_params(cell.m, params), history
+    return cell_from_params(cell.m, {name: arr.copy()
+                                     for name, arr in params.items()}), history
 
 
 def save_cell(cell: LstmCell, out_dir) -> None:
@@ -338,6 +372,23 @@ def load_cell(path) -> LstmCell:
     return cell_from_params(m, params)
 
 
+def rollout(cell: LstmCell, sequences, warmup: int) -> np.ndarray:
+    """Batched rollout over (S, T, m) sequences; returns (S, T-1, m).
+
+    Entry ``[s, k]`` is the prediction of frame k+1 of sequence s.  The
+    first ``warmup`` steps of each sequence consume real frames; every
+    later step consumes the previous prediction.
+    """
+    z = np.asarray(sequences, dtype=np.float64)
+    if z.ndim != 3 or z.shape[0] == 0:
+        raise ValueError("sequences must be a non-empty (S, T, m) array")
+    _check_rollout_args(z.shape[1], warmup)
+    if z.shape[2] != cell.m:
+        raise ValueError(f"frame length {z.shape[2]} != m={cell.m}")
+    preds, _ = _forward(cell, z, warmup, keep_cache=False)
+    return preds
+
+
 def evaluate_prediction(cell: LstmCell, latent_sequences, raw_sequences,
                         warmup: int, decode_fn) -> float:
     """Pixel-space free-run prediction MSE over a test set.
@@ -354,13 +405,7 @@ def evaluate_prediction(cell: LstmCell, latent_sequences, raw_sequences,
         raise ValueError("sequence stacks must be 3-D (S, T, dim)")
     if z.shape[0] != raw.shape[0] or z.shape[1] != raw.shape[1]:
         raise ValueError("latent and raw sequence stacks must align")
-    if z.shape[0] == 0:
-        raise ValueError("no sequences to evaluate")
-    _check_rollout_args(z.shape[1], warmup)
-    if z.shape[2] != cell.m:
-        raise ValueError(f"frame length {z.shape[2]} != m={cell.m}")
-
-    preds, _ = _forward(cell, z, warmup, keep_cache=False)
+    preds = rollout(cell, z, warmup)
     free = preds[:, warmup - 1:, :]          # predictions of frames W+1..T
     num_seq, num_eval, _ = free.shape
     decoded = decode_fn(free.reshape(num_seq * num_eval, -1))

@@ -39,6 +39,12 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
 
     The effective gradient is ``grad + weight_decay * params``; both
     moment estimates are bias-corrected by the step counter.
+    ``state.m`` and ``state.v`` are updated in place.  ``params`` and
+    ``grad`` are never written: the result is a fresh array, computed
+    in two scratch buffers with the same floating-point operations, in
+    the same order, as the textbook expression
+    ``params - lr * m_hat / (sqrt(v_hat) + eps)``, so it is bitwise
+    equal to it.
     """
     params = np.asarray(params, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
@@ -50,13 +56,23 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
     if lr <= 0.0:
         raise ValueError("learning rate must be positive")
 
-    g = grad + weight_decay * params
+    g = np.multiply(params, weight_decay, out=np.empty_like(params))
+    g += grad                                 # g = grad + wd * params
+    tmp = np.empty_like(g)
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    return params - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m *= state.beta1                    # m = b1 m + (1 - b1) g
+    state.m += np.multiply(g, 1.0 - state.beta1, out=tmp)
+    np.multiply(g, 1.0 - state.beta2, out=tmp)  # v = b2 v + ((1 - b2) g) g
+    tmp *= g
+    state.v *= state.beta2
+    state.v += tmp
+    m_hat = np.divide(state.m, 1.0 - state.beta1 ** state.t, out=g)
+    denom = np.divide(state.v, 1.0 - state.beta2 ** state.t, out=tmp)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    m_hat *= lr
+    m_hat /= denom
+    return np.subtract(params, m_hat, out=m_hat)
 
 
 def _check_milestones(milestones, label):

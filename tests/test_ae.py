@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gtslatent import ae, linalg
-from gtslatent.optim import TrainSchedule
+from gtslatent.optim import TrainSchedule, adam_step, schedule_at
 from gtslatent.rng import Rng
 
 
@@ -19,6 +19,32 @@ def _finite_difference_grad(codec, batch, h=1e-6):
         lm, _ = ae.loss_and_grad(ae.LinearCodec(codec.n, codec.m, minus), batch)
         grad[idx] = (lp - lm) / (2.0 * h)
     return grad
+
+
+def _reference_train(codec, frames, schedule, seed):
+    """ae.train as a plain loop: a checked codec per batch, textbook Adam."""
+    rng = Rng(seed)
+    a = codec.a.copy()
+    m, v, t = np.zeros_like(a), np.zeros_like(a), 0
+    history = []
+    for epoch in range(schedule.epochs):
+        lr, wd = schedule_at(schedule, epoch)
+        order = list(range(frames.shape[0]))
+        rng.shuffle(order)
+        total = 0.0
+        for start in range(0, len(order), schedule.batch_size):
+            chunk = order[start:start + schedule.batch_size]
+            loss, grad = ae.loss_and_grad(ae.LinearCodec(codec.n, codec.m, a),
+                                          frames[chunk])
+            t += 1
+            g = grad + wd * a
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            a = a - lr * (m / (1.0 - 0.9 ** t)) / (
+                np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+            total += loss * len(chunk)
+        history.append(total / frames.shape[0])
+    return a, np.array(history)
 
 
 class TestInit:
@@ -190,6 +216,35 @@ class TestTrain:
         floor = lam[:-2].sum() / frames.size
         assert history[-1] >= floor - 1e-6
         assert ae.reconstruction_mse(trained, frames) >= floor - 1e-6
+
+    def test_matches_reference_loop_bitwise(self):
+        codec = ae.init_codec(12, 4, seed=14)
+        frames = Rng(15).uniform_matrix(23, 12, -1.0, 1.0)
+        sched = TrainSchedule(epochs=6, batch_size=5, lr0=0.01,
+                              lr_milestones=((3, 2.0),), wd0=1e-3,
+                              wd_milestones=((2, 10.0),))
+        trained, history = ae.train(codec, frames, sched, seed=16)
+        a, expect = _reference_train(codec, frames, sched, seed=16)
+        assert np.array_equal(trained.a, a)
+        assert np.array_equal(history, expect)
+
+    def test_diverging_step_raises_at_once(self, monkeypatch):
+        steps = []
+
+        def counted(*args, **kwargs):
+            out = adam_step(*args, **kwargs)
+            steps.append(bool(np.isfinite(out).all()))
+            return out
+
+        monkeypatch.setattr(ae, "adam_step", counted)
+        codec = ae.init_codec(6, 2, seed=1)
+        frames = Rng(2).uniform_matrix(10, 6, -1.0, 1.0)
+        sched = TrainSchedule(epochs=3, batch_size=4, lr0=1e300)
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match="codec matrix contains non-finite entries"):
+            ae.train(codec, frames, sched, seed=3)
+        # no step is taken after the first one that left a non-finite entry
+        assert steps.index(False) == len(steps) - 1 < 8
 
     def test_empty_dataset_rejected(self):
         codec = ae.init_codec(4, 2, seed=1)

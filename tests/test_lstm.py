@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gtslatent import lstm
-from gtslatent.optim import TrainSchedule
+from gtslatent.optim import TrainSchedule, adam_step, schedule_at
 from gtslatent.rng import Rng
 
 
@@ -36,6 +36,43 @@ def _fd_grads(cell, frames, warmup, h=1e-6):
             grad[idx] = (lp - lm) / (2.0 * h)
         out[name] = grad
     return out
+
+
+def _reference_train(cell, seqs, schedule, warmup, seed, grad_clip=None):
+    """lstm.train as a plain loop: a checked cell per batch, fresh gradient
+    arrays, and one textbook Adam step per parameter tensor."""
+    rng = Rng(seed)
+    params = {k: v.copy() for k, v in cell.params().items()}
+    moments = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in params.items()}
+    t, history = 0, []
+    for epoch in range(schedule.epochs):
+        lr, wd = schedule_at(schedule, epoch)
+        order = list(range(seqs.shape[0]))
+        rng.shuffle(order)
+        total = 0.0
+        for start in range(0, len(order), schedule.batch_size):
+            chunk = order[start:start + schedule.batch_size]
+            current = lstm.cell_from_params(cell.m, params)
+            loss, preds, cache, dpreds = lstm._batch_loss(current, seqs[chunk],
+                                                          warmup)
+            grads = {k: np.zeros_like(v) for k, v in params.items()}
+            lstm._backward(current, warmup, preds, cache, dpreds, grads)
+            if grad_clip is not None:
+                norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+                if norm > grad_clip:
+                    grads = {k: g * (grad_clip / norm) for k, g in grads.items()}
+            t += 1
+            for name in lstm.PARAM_NAMES:
+                m, v = moments[name]
+                g = grads[name] + wd * params[name]
+                m = 0.9 * m + (1.0 - 0.9) * g
+                v = 0.999 * v + (1.0 - 0.999) * g * g
+                moments[name] = (m, v)
+                params[name] = params[name] - lr * (m / (1.0 - 0.9 ** t)) / (
+                    np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+            total += loss * len(chunk)
+        history.append(total / seqs.shape[0])
+    return params, np.array(history)
 
 
 class TestInit:
@@ -256,6 +293,80 @@ class TestTrain:
             lstm.train(cell, np.zeros((0, 4, 2)), sched, warmup=2, seed=1)
         with pytest.raises(ValueError):
             lstm.train(cell, np.zeros((2, 4, 3)), sched, warmup=2, seed=1)
+
+    def test_non_finite_sequences_rejected(self):
+        cell = lstm.init_cell(2, seed=29)
+        sched = TrainSchedule(epochs=1, batch_size=2, lr0=0.01)
+        for bad in (np.nan, np.inf):
+            seqs = np.zeros((3, 4, 2))
+            seqs[1, 2, 0] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                lstm.train(cell, seqs, sched, warmup=2, seed=1)
+
+    def test_diverging_step_raises_at_once(self, monkeypatch):
+        steps = []
+
+        def counted(*args, **kwargs):
+            out = adam_step(*args, **kwargs)
+            steps.append(bool(np.isfinite(out).all()))
+            return out
+
+        monkeypatch.setattr(lstm, "adam_step", counted)
+        cell = lstm.init_cell(3, seed=4)
+        seqs = Rng(5).uniform_matrix(24, 3, -1, 1).reshape(4, 6, 3)
+        sched = TrainSchedule(epochs=3, batch_size=2, lr0=1e308)
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match="w_ii contains non-finite entries"):
+            lstm.train(cell, seqs, sched, warmup=2, seed=6)
+        # no step is taken after the first one that left a non-finite entry
+        assert steps.index(False) == len(steps) - 1 < 6
+
+    @pytest.mark.parametrize("m, grad_clip", [(3, None), (3, 0.05),
+                                              (8, None), (8, 0.05)])
+    def test_matches_reference_loop_bitwise(self, m, grad_clip):
+        cell = _random_cell(m, seed=34)
+        seqs = Rng(35).uniform_matrix(7 * 6, m, -1, 1).reshape(7, 6, m)
+        sched = TrainSchedule(epochs=4, batch_size=3, lr0=0.01,
+                              lr_milestones=((2, 2.0),), wd0=1e-3)
+        trained, history = lstm.train(cell, seqs, sched, warmup=3, seed=36,
+                                      grad_clip=grad_clip)
+        params, expect = _reference_train(cell, seqs, sched, 3, 36, grad_clip)
+        assert np.array_equal(history, expect)
+        for name in lstm.PARAM_NAMES:
+            assert np.array_equal(getattr(trained, name), params[name]), name
+
+    def test_returned_cell_owns_its_parameters(self):
+        cell = lstm.init_cell(2, seed=37)
+        seqs = Rng(38).uniform_matrix(12, 2, -1, 1).reshape(3, 4, 2)
+        sched = TrainSchedule(epochs=1, batch_size=2, lr0=0.01)
+        out, _ = lstm.train(cell, seqs, sched, warmup=2, seed=39)
+        arrays = [getattr(out, name) for name in lstm.PARAM_NAMES]
+        for k, arr in enumerate(arrays):
+            assert arr.flags.owndata
+            assert not any(np.shares_memory(arr, other)
+                           for other in arrays[k + 1:])
+
+
+class TestRollout:
+    def test_matches_run_sequence_per_sequence(self):
+        cell = _random_cell(3, seed=40)
+        seqs = Rng(41).uniform_matrix(4 * 6, 3, -1, 1).reshape(4, 6, 3)
+        preds = lstm.rollout(cell, seqs, warmup=2)
+        assert preds.shape == (4, 5, 3)
+        for k in range(4):
+            expect = lstm.run_sequence(cell, seqs[k], warmup=2)
+            assert np.max(np.abs(preds[k] - expect)) < 1e-14
+
+    def test_validation(self):
+        cell = lstm.init_cell(2, seed=42)
+        with pytest.raises(ValueError):
+            lstm.rollout(cell, np.zeros((0, 4, 2)), warmup=2)
+        with pytest.raises(ValueError):
+            lstm.rollout(cell, np.zeros((4, 2)), warmup=2)
+        with pytest.raises(ValueError):
+            lstm.rollout(cell, np.zeros((2, 4, 3)), warmup=2)
+        with pytest.raises(ValueError):
+            lstm.rollout(cell, np.zeros((2, 4, 2)), warmup=4)
 
 
 class TestEvaluate:

@@ -67,6 +67,38 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(state, np.zeros(2), np.zeros(2), lr=0.0)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    def test_matches_textbook_formula_bitwise(self, weight_decay):
+        rng = np.random.default_rng(5)
+        state = adam_init((7, 5))
+        params = rng.standard_normal((7, 5))
+        expect = params.copy()
+        m, v = np.zeros_like(params), np.zeros_like(params)
+        for t in range(1, 201):
+            grad = rng.standard_normal(params.shape) * 10.0 ** rng.uniform(-6, 2)
+            params = adam_step(state, params, grad, lr=1e-3,
+                               weight_decay=weight_decay)
+            g = grad + weight_decay * expect
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            m_hat = m / (1.0 - 0.9 ** t)
+            v_hat = v / (1.0 - 0.999 ** t)
+            expect = expect - 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            assert np.array_equal(params, expect), t
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
+    def test_params_and_grad_unmodified(self):
+        rng = np.random.default_rng(6)
+        state = adam_init((4, 3))
+        params, grad = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+        params0, grad0 = params.copy(), grad.copy()
+        for _ in range(3):
+            out = adam_step(state, params, grad, lr=0.1, weight_decay=0.01)
+            assert np.array_equal(params, params0)
+            assert np.array_equal(grad, grad0)
+            assert not np.shares_memory(out, params)
+            assert not np.shares_memory(out, grad)
+
 
 class TestSchedule:
     def test_image_ae_schedule_start(self):
