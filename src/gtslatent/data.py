@@ -278,12 +278,18 @@ def _bounce(pos: int, vel: int, max_pos: int) -> tuple[int, int]:
 def load_csv_series(path) -> np.ndarray:
     """Read a rectangular numeric CSV as a (timepoints, nodes) matrix.
 
-    Rows are timepoints, columns are nodes.  A single non-numeric first
-    row is treated as a header and skipped.  Ragged or non-numeric rows
-    raise with their 1-based row number.
+    Rows are timepoints, columns are nodes; blank lines are skipped.  A
+    single non-numeric first row is treated as a header and skipped.
+    Ragged or non-numeric rows raise with their 1-based line number in
+    the file.
     """
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        rows, lines = [], []
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
     if not rows:
         raise ValueError(f"{path}: empty CSV")
 
@@ -301,12 +307,14 @@ def load_csv_series(path) -> np.ndarray:
         row = rows[ridx]
         if len(row) != width:
             raise ValueError(
-                f"{path}: row {ridx + 1} has {len(row)} cells, expected {width}"
+                f"{path}: row {lines[ridx]} has {len(row)} cells, "
+                f"expected {width}"
             )
         try:
             data[ridx - start] = [float(cell) for cell in row]
         except ValueError as exc:
-            raise ValueError(f"{path}: non-numeric cell in row {ridx + 1}") from exc
+            raise ValueError(
+                f"{path}: non-numeric cell in row {lines[ridx]}") from exc
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: contains non-finite values")
     return data

@@ -10,12 +10,24 @@ CSV table, and an SVG curve plot.
 Determinism: everything stochastic is seeded from the config seed
 through fixed stream tags, so a rerun with the same config produces
 byte-identical CSV output.
+
+Where the work runs: this process builds and splits the dataset,
+computes each spectral method's full basis once, and does all
+codec-cache reads and writes.  The (method, m) cells - fit or truncate
+a codec, score it and, for prediction, train and score an FC-LSTM -
+then run in ``fork``-ed worker processes, one per CPU this process may
+use (``os.sched_getaffinity``), capped at the number of cells, largest
+m first.  With one CPU (e.g. under ``taskset -c 0``) or without
+``fork`` they run one after another in this process.  Each cell draws
+only from its own seeded streams, so both paths give bit-identical
+reports.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 import sys
 import time
@@ -115,11 +127,24 @@ def _schedule_to_dict(s: TrainSchedule) -> dict:
     }
 
 
+def _as_int(value, label: str) -> int:
+    """``value`` if it is an integer; bools, floats and the rest raise."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{label} must be an integer, got {value!r}")
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a parsed JSON config and build an ExperimentConfig."""
     for key in ("dataset", "methods", "latent_dims", "seed"):
         if key not in raw:
             raise ValueError(f"config is missing required key {key!r}")
+    if not isinstance(raw["latent_dims"], (list, tuple)):
+        raise ValueError(f"latent_dims must be a list of integers, got "
+                         f"{raw['latent_dims']!r}")
     ae_sched = (_schedule_from_dict(raw["ae_schedule"], "ae")
                 if "ae_schedule" in raw else None)
     lstm_sched = (_schedule_from_dict(raw["lstm_schedule"], "lstm")
@@ -127,12 +152,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(
         dataset=dict(raw["dataset"]),
         methods=tuple(raw["methods"]),
-        latent_dims=tuple(int(m) for m in raw["latent_dims"]),
-        seed=int(raw["seed"]),
+        latent_dims=tuple(_as_int(m, "latent_dims entry")
+                          for m in raw["latent_dims"]),
+        seed=_as_int(raw["seed"], "seed"),
         ae_schedule=ae_sched,
         lstm_schedule=lstm_sched,
         train_fraction=float(raw.get("train_fraction", 0.7)),
-        warmup=int(raw.get("warmup", 10)),
+        warmup=_as_int(raw.get("warmup", 10), "warmup"),
         keep_fraction=float(raw.get("keep_fraction",
                                     graphs.DEFAULT_KEEP_FRACTION)),
         grad_clip=(float(raw["grad_clip"])
@@ -371,43 +397,56 @@ def _full_basis(config, method: str, train_frames: np.ndarray,
     return basis
 
 
-def _fit_codec(config, method: str, m: int, train_frames: np.ndarray,
-               frame_shape, full_bases: dict) -> _Codec:
-    n = train_frames.shape[1]
+@dataclass(frozen=True)
+class _CellInputs:
+    """What every cell of one experiment reads, built once by the parent.
+
+    Worker processes inherit it through ``fork`` and never modify it.
+    """
+    config: ExperimentConfig
+    predict: bool
+    train_set: data.SequenceDataset
+    test_set: data.SequenceDataset
+    train_frames: np.ndarray
+    test_frames: np.ndarray
+    bases: dict      # spectral method -> its full SpectralBasis
+    ae_cached: dict  # m -> the cached AE matrix, or None on a miss
+
+
+def _fit_codec(inputs: _CellInputs, method: str, m: int) -> tuple:
+    """(codec, matrix to cache): the matrix is the freshly trained AE
+    when the config has a codec cache, else None."""
+    config = inputs.config
+    n = inputs.train_frames.shape[1]
     if method == "raw":
         identity = lambda x: np.asarray(x, dtype=np.float64)
-        return _Codec("raw", n, identity, identity)
+        return _Codec("raw", n, identity, identity), None
     if method == "ae":
-        cache = _cache_file(config, "ae", n, m)
-        a = _read_cache(cache, (n, m))
+        a = inputs.ae_cached.get(m)
+        trained, history = None, None
         if a is not None:
             codec = ae.LinearCodec(n, m, a)
-            history = None
         else:
             codec0 = ae.init_codec(n, m, _stream(config.seed,
                                                  _STREAM_AE_INIT, m))
-            codec, history = ae.train(codec0, train_frames,
+            codec, history = ae.train(codec0, inputs.train_frames,
                                       config.ae_schedule,
                                       _stream(config.seed,
                                               _STREAM_AE_TRAIN, m))
-            if cache is not None:
-                _write_cache(cache, codec.a)
+            if config.codec_cache_dir is not None:
+                trained = codec.a
                 codec = ae.LinearCodec(n, m, _quantize(codec.a))
         return _Codec("ae", m,
                       lambda x, c=codec: ae.encode_frames(c, x),
                       lambda z, c=codec: ae.decode_frames(c, z),
-                      loss_history=history)
-    # spectral methods share one full eigendecomposition per graph
-    if method not in full_bases:
-        full_bases[method] = _full_basis(config, method, train_frames,
-                                         frame_shape)
-    full = full_bases[method]
+                      loss_history=history), trained
+    full = inputs.bases[method]
     basis = spectral.truncate(full, m)
     gap, multiplicity = _eig_diagnostics(full.eigenvalues, m)
     return _Codec(method, m,
                   lambda x, b=basis: spectral.encode_frames(b, x),
                   lambda z, b=basis: spectral.decode_frames(b, z),
-                  eig_gap=gap, eig_multiplicity=multiplicity)
+                  eig_gap=gap, eig_multiplicity=multiplicity), None
 
 
 def _validate_compatibility(config: ExperimentConfig,
@@ -514,30 +553,7 @@ def _dims_for(config: ExperimentConfig, method: str, n: int) -> list:
 
 def run_reconstruction_experiment(config: ExperimentConfig) -> Report:
     """Fit codecs on the training split, report held-out round-trip MSE."""
-    start = time.perf_counter()
-    dataset = build_dataset(config)
-    _validate_compatibility(config, dataset, need_lstm=False)
-    train_set, test_set = data.split(dataset, config.train_fraction,
-                                     _stream(config.seed, _STREAM_SPLIT))
-    train_frames = train_set.frames()
-    test_frames = test_set.frames()
-
-    cells = []
-    full_bases: dict = {}
-    for method in config.methods:
-        for m in _dims_for(config, method, dataset.frame_dim):
-            codec = _fit_codec(config, method, m, train_frames,
-                               dataset.frame_shape, full_bases)
-            cells.append(ReportCell(
-                method=method, m=m,
-                recon_mse=codec.reconstruction_mse(test_frames),
-                ae_loss_history=(None if codec.loss_history is None
-                                 else [float(v) for v in codec.loss_history]),
-                eig_gap=codec.eig_gap,
-                eig_multiplicity=codec.eig_multiplicity,
-            ))
-    return Report("reconstruction", config.seed, config.source,
-                  config_hash(config), time.perf_counter() - start, cells)
+    return _run_experiment(config, predict=False)
 
 
 def run_prediction_experiment(config: ExperimentConfig) -> Report:
@@ -547,62 +563,164 @@ def run_prediction_experiment(config: ExperimentConfig) -> Report:
     prediction MSE is computed in the signal domain after decoding, and
     each cell also reports the codec's standalone reconstruction MSE.
     """
+    return _run_experiment(config, predict=True)
+
+
+def _run_experiment(config: ExperimentConfig, predict: bool) -> Report:
     start = time.perf_counter()
     dataset = build_dataset(config)
-    _validate_compatibility(config, dataset, need_lstm=True)
+    _validate_compatibility(config, dataset, need_lstm=predict)
     train_set, test_set = data.split(dataset, config.train_fraction,
                                      _stream(config.seed, _STREAM_SPLIT))
     train_frames = train_set.frames()
-    test_frames = test_set.frames()
-    num_train, t_len, n = train_set.sequences.shape
-    num_test = test_set.count
-
-    cells = []
-    full_bases: dict = {}
+    n = dataset.frame_dim
+    # shared work and all codec-cache reads happen here, in cell order,
+    # so cache warnings reach this process's stderr in that order
+    bases, ae_cached = {}, {}
     for method in config.methods:
-        method_ix = METHODS.index(method)
-        for m in _dims_for(config, method, n):
-            codec = _fit_codec(config, method, m, train_frames,
-                               dataset.frame_shape, full_bases)
-            z_train_flat = codec.enc(train_frames)
-            if config.latent_scale == "auto":
-                # normalise each representation into the predictor's
-                # output range by its own peak training magnitude
-                scale = max(float(np.max(np.abs(z_train_flat))), 1e-12)
-            else:
-                scale = config.latent_scale if config.latent_scale else 1.0
-            z_train = (z_train_flat / scale).reshape(num_train, t_len, m)
-            z_test = (codec.enc(test_frames) / scale).reshape(num_test,
-                                                              t_len, m)
-            decode_fn = (lambda zp, c=codec, s=scale: c.dec(zp * s))
+        if method == "ae":
+            for m in config.latent_dims:
+                ae_cached[m] = _read_cache(_cache_file(config, "ae", n, m),
+                                           (n, m))
+        elif method != "raw":
+            bases[method] = _full_basis(config, method, train_frames,
+                                        dataset.frame_shape)
+    inputs = _CellInputs(config, predict, train_set, test_set, train_frames,
+                         test_set.frames(), bases, ae_cached)
+    cells = _run_cells(inputs, [(method, m) for method in config.methods
+                                for m in _dims_for(config, method, n)])
+    return Report("prediction" if predict else "reconstruction",
+                  config.seed, config.source, config_hash(config),
+                  time.perf_counter() - start, cells)
 
-            cell0 = lstm.init_cell(m, _stream(config.seed, _STREAM_LSTM_INIT,
-                                              method_ix, m))
-            trained, history = lstm.train(
-                cell0, z_train, config.lstm_schedule, config.warmup,
-                _stream(config.seed, _STREAM_LSTM_TRAIN, method_ix, m),
-                grad_clip=config.grad_clip,
-            )
-            pred_mse = lstm.evaluate_prediction(
-                trained, z_test, test_set.sequences, config.warmup, decode_fn)
 
-            sample = None
-            if config.dump_predictions:
-                preds = lstm.rollout(trained, z_test[:1], config.warmup)
-                sample = decode_fn(preds[0, config.warmup - 1:, :])
-            cells.append(ReportCell(
-                method=method, m=m,
-                recon_mse=codec.reconstruction_mse(test_frames),
-                pred_mse=pred_mse,
-                ae_loss_history=(None if codec.loss_history is None
-                                 else [float(v) for v in codec.loss_history]),
-                lstm_loss_history=[float(v) for v in history],
-                sample_prediction=sample,
-                eig_gap=codec.eig_gap,
-                eig_multiplicity=codec.eig_multiplicity,
-            ))
-    return Report("prediction", config.seed, config.source,
-                  config_hash(config), time.perf_counter() - start, cells)
+def _run_cell(inputs: _CellInputs, method: str, m: int) -> tuple:
+    """Fit and score one (method, m) cell: (ReportCell, matrix to cache).
+
+    The codec and its held-out round-trip MSE, then, for prediction, an
+    FC-LSTM trained on the codec's latents.  Every draw comes from the
+    cell's own seeded streams, so the result does not depend on where
+    or in which order the cells run.
+    """
+    codec, trained = _fit_codec(inputs, method, m)
+    cell = ReportCell(
+        method=method, m=m,
+        recon_mse=codec.reconstruction_mse(inputs.test_frames),
+        ae_loss_history=(None if codec.loss_history is None
+                         else [float(v) for v in codec.loss_history]),
+        eig_gap=codec.eig_gap,
+        eig_multiplicity=codec.eig_multiplicity,
+    )
+    if inputs.predict:
+        (cell.pred_mse, cell.lstm_loss_history,
+         cell.sample_prediction) = _predict(inputs, codec, method, m)
+    return cell, trained
+
+
+def _predict(inputs: _CellInputs, codec: _Codec, method: str,
+             m: int) -> tuple:
+    """(pred MSE, LSTM loss history, decoded sample or None) of one cell."""
+    config = inputs.config
+    num_train, t_len, _ = inputs.train_set.sequences.shape
+    z_train_flat = codec.enc(inputs.train_frames)
+    if config.latent_scale == "auto":
+        # normalise each representation into the predictor's
+        # output range by its own peak training magnitude
+        scale = max(float(np.max(np.abs(z_train_flat))), 1e-12)
+    else:
+        scale = config.latent_scale if config.latent_scale else 1.0
+    z_train = (z_train_flat / scale).reshape(num_train, t_len, m)
+    z_test = (codec.enc(inputs.test_frames) / scale).reshape(
+        inputs.test_set.count, t_len, m)
+    decode_fn = (lambda zp: codec.dec(zp * scale))
+
+    method_ix = METHODS.index(method)
+    cell0 = lstm.init_cell(m, _stream(config.seed, _STREAM_LSTM_INIT,
+                                      method_ix, m))
+    trained, history = lstm.train(
+        cell0, z_train, config.lstm_schedule, config.warmup,
+        _stream(config.seed, _STREAM_LSTM_TRAIN, method_ix, m),
+        grad_clip=config.grad_clip,
+    )
+    pred_mse = lstm.evaluate_prediction(
+        trained, z_test, inputs.test_set.sequences, config.warmup, decode_fn)
+    sample = None
+    if config.dump_predictions:
+        preds = lstm.rollout(trained, z_test[:1], config.warmup)
+        sample = decode_fn(preds[0, config.warmup - 1:, :])
+    return pred_mse, [float(v) for v in history], sample
+
+
+# ---------------------------------------------------------------------------
+# running the cells
+
+#: the experiment a worker process serves; set only inside workers
+_worker_inputs: _CellInputs | None = None
+
+
+def _init_worker(inputs: _CellInputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _worker_cell(method: str, m: int) -> tuple:
+    return _run_cell(_worker_inputs, method, m)
+
+
+def _fork_pool(inputs: _CellInputs, cells: int):
+    """A pool of forked workers for the cells, or None to run them here.
+
+    One worker per CPU this process may run on, capped at the number of
+    cells; None when that is one or the platform cannot fork.  Forked
+    workers inherit ``inputs`` (config, frames, bases) without pickling;
+    only a cell's (method, m) and its result cross between processes.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, cells)
+    if workers <= 1:
+        return None
+    # imported here: set-up processes and gen-data never start a pool
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(workers,
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_init_worker, initargs=(inputs,))
+
+
+def _run_cells(inputs: _CellInputs, cells: list) -> list:
+    """Run every (method, m) cell; return the ReportCells in cell order.
+
+    Cells run in forked workers when this process may use more than one
+    CPU, else one after another here; the numbers are the same either
+    way.  The first cell in cell order that raises re-raises here, after
+    pending cells are cancelled and the workers have exited.
+    """
+    pool = _fork_pool(inputs, len(cells))
+    try:
+        if pool is None:
+            results = (_run_cell(inputs, method, m) for method, m in cells)
+        else:
+            # largest m first (Graham's LPT rule): the costliest cells
+            # start at once rather than last
+            by_size = sorted(range(len(cells)), key=lambda i: -cells[i][1])
+            futures = {i: pool.submit(_worker_cell, *cells[i])
+                       for i in by_size}
+            results = (futures[i].result() for i in range(len(cells)))
+        n = inputs.train_frames.shape[1]
+        report_cells = []
+        for (method, m), (cell, trained) in zip(cells, results):
+            if trained is not None:  # only this process writes the cache
+                _write_cache(_cache_file(inputs.config, "ae", n, m), trained)
+            report_cells.append(cell)
+        return report_cells
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def emit_report(report: Report, out_dir) -> dict:

@@ -179,6 +179,17 @@ class TestCsv:
         with pytest.raises(ValueError, match="row 2"):
             data.load_csv_series(path)
 
+    @pytest.mark.parametrize("text, line", [
+        ("1.0,2.0\n\n\n3.0,x\n", 4),
+        ("a,b\n\n1.0,2.0\n\n3.0\n", 5),
+    ], ids=["non-numeric", "ragged-after-header"])
+    def test_errors_name_the_file_line_past_blank_lines(self, tmp_path,
+                                                       text, line):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"row {line}\b"):
+            data.load_csv_series(path)
+
     def test_round_trip_preserves_values(self, tmp_path):
         path = tmp_path / "t.csv"
         series = Rng(17).uniform_matrix(6, 4, -2.0, 2.0)

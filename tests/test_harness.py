@@ -1,4 +1,7 @@
 import json
+import multiprocessing
+import os
+import shutil
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -58,6 +61,15 @@ class TestConfig:
             _tiny_config(dataset={"type": "mystery"}))
         with pytest.raises(ValueError, match="mystery"):
             harness.build_dataset(config)
+
+    @pytest.mark.parametrize("key, value", [
+        ("latent_dims", 4), ("latent_dims", [4.7]), ("latent_dims", [True]),
+        ("latent_dims", ["4"]), ("seed", None), ("seed", 1.5),
+        ("seed", False), ("warmup", 2.0), ("warmup", True),
+    ])
+    def test_malformed_integers_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            harness.config_from_dict(_tiny_config(**{key: value}))
 
     def test_hash_ignores_formatting_only(self):
         a = harness.config_from_dict(_tiny_config())
@@ -278,6 +290,114 @@ class TestEigDiagnostics:
         assert loaded.cells[0].eig_multiplicity is None
 
 
+def _run_on_cpus(monkeypatch, cpus, runner, config, out_dir):
+    """One experiment on ``cpus`` CPUs.
+
+    Returns the report dict without its wall time, the bytes of every
+    other emitted file, and the cells run in this process.
+    """
+    here = []
+    real = harness._run_cell
+
+    def counted(inputs, method, m):
+        here.append((method, m))
+        return real(inputs, method, m)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                   raising=False)
+        mp.setattr(harness, "_run_cell", counted)
+        report = runner(config)
+    harness.emit_report(report, out_dir)
+    d = harness.report_to_dict(report)
+    del d["wall_time_s"]
+    files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())
+             if p.name != "report.json"}
+    return d, files, here
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="cells run in-process without fork")
+class TestCellWorkers:
+    def test_reconstruction_same_in_workers_and_in_process(self, tmp_path,
+                                                           monkeypatch):
+        config = harness.config_from_dict(_tiny_config(
+            methods=["gft-grid", "gft-geo", "ae"], latent_dims=[4, 9]))
+        run = harness.run_reconstruction_experiment
+        one = _run_on_cpus(monkeypatch, 1, run, config, tmp_path / "one")
+        two = _run_on_cpus(monkeypatch, 2, run, config, tmp_path / "two")
+        assert one[2] == [(method, m) for method in config.methods
+                          for m in (4, 9)]
+        assert two[2] == []  # every cell ran in a worker
+        assert one[:2] == two[:2]
+
+    def test_prediction_same_in_workers_and_in_process(self, tmp_path,
+                                                       monkeypatch):
+        cache = tmp_path / "cache"
+        config = harness.config_from_dict(_tiny_config(
+            methods=list(harness.METHODS), latent_dims=[4, 9],
+            keep_fraction=0.1, latent_scale="auto", dump_predictions=True,
+            codec_cache_dir=str(cache)))
+        run = harness.run_prediction_experiment
+        runs, caches = {}, {}
+        for cpus in (1, 2):
+            runs[cpus] = [_run_on_cpus(monkeypatch, cpus, run, config,
+                                       tmp_path / f"{cpus}-{state}")
+                          for state in ("cold", "warm")]
+            caches[cpus] = {p.name: p.read_bytes() for p in cache.iterdir()}
+            shutil.rmtree(cache)
+        assert runs[2][0][2] == runs[2][1][2] == []
+        for one, two in zip(runs[1], runs[2]):
+            assert one[:2] == two[:2]
+            assert "pred_ae_m9.gts" in one[1]
+        assert caches[1] == caches[2]
+        cold, warm = runs[1][0][0], runs[1][1][0]
+        ae_cells = [i for i, c in enumerate(cold["cells"]) if c["method"] == "ae"]
+        assert all(cold["cells"][i]["ae_loss_history"] for i in ae_cells)
+        assert all(warm["cells"][i]["ae_loss_history"] is None
+                   for i in ae_cells)  # the warm runs read the cache
+
+    def test_diverging_cell_raises_and_leaves_nothing_behind(self, tmp_path,
+                                                             monkeypatch):
+        cache = tmp_path / "cache"
+        config = harness.config_from_dict(_tiny_config(
+            methods=["gft-grid", "ae"], latent_dims=[4, 9],
+            codec_cache_dir=str(cache),
+            ae_schedule={"epochs": 3, "batch_size": 10, "lr0": 1e300}))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        with pytest.raises(ValueError) as excinfo:
+            harness.run_reconstruction_experiment(config)
+        assert excinfo.type is ValueError
+        assert str(excinfo.value) == "codec matrix contains non-finite entries"
+        assert multiprocessing.active_children() == []
+        assert list(cache.glob("*.tmp")) == []
+
+    def test_first_failing_cell_in_cell_order_raises(self, monkeypatch):
+        # largest m is submitted first, so (ae, 9) fails before (gft-grid, 4)
+        real = harness._run_cell
+
+        def failing(inputs, method, m):
+            if (method, m) == ("gft-grid", 4):
+                raise np.linalg.LinAlgError("gft-grid m=4 failed")
+            if (method, m) == ("ae", 9):
+                raise ValueError("ae m=9 failed")
+            return real(inputs, method, m)
+
+        monkeypatch.setattr(harness, "_run_cell", failing)
+        config = harness.config_from_dict(_tiny_config(
+            methods=["gft-grid", "ae"], latent_dims=[4, 9]))
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=cpus: set(range(n)),
+                                raising=False)
+            with pytest.raises(ValueError) as excinfo:
+                harness.run_reconstruction_experiment(config)
+            assert excinfo.type is np.linalg.LinAlgError
+            assert str(excinfo.value) == "gft-grid m=4 failed"
+            assert multiprocessing.active_children() == []
+
+
 class TestEmitReport:
     def test_csv_row_count_and_round_trip(self, tmp_path):
         config = harness.config_from_dict(_tiny_config(latent_dims=[4, 9]))
@@ -436,6 +556,17 @@ class TestCli:
         assert cli.main(["reconstruct", "--config", cfg_path,
                          "--out", str(tmp_path / "out")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("latent_dims", 4), ("seed", None), ("latent_dims", [4.7]),
+    ])
+    def test_malformed_types_exit_nonzero(self, tmp_path, capsys, key, value):
+        cfg_path = self._write_config(tmp_path, _tiny_config(**{key: value}))
+        assert cli.main(["reconstruct", "--config", cfg_path,
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["reconstruct", "--config",
