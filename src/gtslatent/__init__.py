@@ -9,10 +9,13 @@ predicts sequences from each compressed representation.
 
 Modules:
 
-* ``linalg``   - dense float64 helpers and a sign-fixed LAPACK eigensolver
+* ``linalg``   - dense float64 input checks, MSE, a sign-fixed LAPACK
+  eigensolver
 * ``graphs``   - the three graph constructions and their Laplacians
-* ``spectral`` - truncated graph Fourier transform
-* ``ae``       - tied-weight linear autoencoder and its training
+* ``spectral`` - ``LinearCodec``, the (n, m) matrix every codec is, and
+  the truncated graph Fourier transform
+* ``ae``       - tied-weight linear autoencoder (a ``LinearCodec``) and
+  its training
 * ``optim``    - Adam and milestone schedules
 * ``lstm``     - FC-LSTM cell, warm-up/free-run rollout, BPTT
 * ``data``     - dataset generators, STL-10/CSV ingestion, GTS1 tensors

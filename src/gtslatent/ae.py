@@ -1,39 +1,23 @@
 """Tied-weight linear autoencoder trained on reconstruction MSE.
 
-One matrix ``A`` of shape (n, m) does both directions: encoding is
-``A^T x``, decoding is ``A z``, so the round trip is ``A A^T x``.  No
-biases, no nonlinearity - the model is deliberately the data-driven
-counterpart of a truncated orthonormal basis, and its best achievable
-reconstruction error is the rank-m principal-subspace error of the
-training data.
+The model is a :class:`spectral.LinearCodec`: one matrix ``A`` of shape
+(n, m) does both directions, so the round trip is ``A A^T x`` and it
+encodes and decodes through the same :mod:`spectral` functions as a
+graph Fourier basis.  No biases, no nonlinearity - the model is
+deliberately the data-driven counterpart of a truncated orthonormal
+basis, and its best achievable reconstruction error is the rank-m
+principal-subspace error of the training data.  This module adds only
+its initialisation, loss gradient and training.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .optim import TrainSchedule, adam_init, adam_step, schedule_at
 from .rng import Rng
-
-
-@dataclass(frozen=True)
-class LinearCodec:
-    """Shared encode/decode matrix ``a`` of shape (n, m)."""
-
-    n: int
-    m: int
-    a: np.ndarray
-
-    def __post_init__(self):
-        w = linalg.as_matrix(self.a, "codec matrix")
-        if not 1 <= self.m <= self.n:
-            raise ValueError(f"m={self.m} out of range [1, {self.n}]")
-        if w.shape != (self.n, self.m):
-            raise ValueError(f"codec shape {w.shape} != ({self.n}, {self.m})")
-        object.__setattr__(self, "a", w)
+from .spectral import LinearCodec
 
 
 def init_codec(n: int, m: int, seed: int) -> LinearCodec:
@@ -41,40 +25,7 @@ def init_codec(n: int, m: int, seed: int) -> LinearCodec:
     if not 1 <= m <= n:
         raise ValueError(f"m={m} out of range [1, {n}]")
     bound = 1.0 / np.sqrt(n)
-    return LinearCodec(n, m, Rng(seed).uniform_matrix(n, m, -bound, bound))
-
-
-def encode(codec: LinearCodec, x) -> np.ndarray:
-    v = linalg.as_vector(x, "signal")
-    if v.shape[0] != codec.n:
-        raise ValueError(f"signal length {v.shape[0]} != n={codec.n}")
-    return codec.a.T @ v
-
-
-def decode(codec: LinearCodec, z) -> np.ndarray:
-    v = linalg.as_vector(z, "latent")
-    if v.shape[0] != codec.m:
-        raise ValueError(f"latent length {v.shape[0]} != m={codec.m}")
-    return codec.a @ v
-
-
-def encode_frames(codec: LinearCodec, frames) -> np.ndarray:
-    f = linalg.as_matrix(frames, "frames")
-    if f.shape[1] != codec.n:
-        raise ValueError(f"frame length {f.shape[1]} != n={codec.n}")
-    return f @ codec.a
-
-
-def decode_frames(codec: LinearCodec, coeffs) -> np.ndarray:
-    c = linalg.as_matrix(coeffs, "latents")
-    if c.shape[1] != codec.m:
-        raise ValueError(f"latent length {c.shape[1]} != m={codec.m}")
-    return c @ codec.a.T
-
-
-def reconstruction_mse(codec: LinearCodec, frames) -> float:
-    f = linalg.as_matrix(frames, "frames")
-    return linalg.mse(f, decode_frames(codec, encode_frames(codec, f)))
+    return LinearCodec(Rng(seed).uniform_matrix(n, m, -bound, bound))
 
 
 def loss_and_grad(codec: LinearCodec, batch) -> tuple[float, np.ndarray]:
@@ -105,21 +56,6 @@ def _loss_and_grad(a: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
     grad += x.T @ (r @ a)
     grad *= 2.0 / (b * n)
     return loss, grad
-
-
-def save_codec(codec: LinearCodec, path) -> None:
-    """Persist the codec matrix as a GTS1 tensor with dims [n, m]."""
-    from . import data
-    data.save_tensor(path, (codec.n, codec.m), codec.a)
-
-
-def load_codec(path) -> LinearCodec:
-    """Load a codec written by :func:`save_codec` (float32 rounded)."""
-    from . import data
-    dims, values = data.load_tensor(path)
-    if len(dims) != 2:
-        raise ValueError(f"{path}: codec tensor must be rank 2, got {dims}")
-    return LinearCodec(dims[0], dims[1], values)
 
 
 def train(codec: LinearCodec, frames, schedule: TrainSchedule,
@@ -160,4 +96,4 @@ def train(codec: LinearCodec, frames, schedule: TrainSchedule,
                 raise ValueError("codec matrix contains non-finite entries")
             total += loss * len(chunk)
         history[epoch] = total / num
-    return LinearCodec(codec.n, codec.m, a), history
+    return LinearCodec(a), history

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import operator
 import os
 import sys
@@ -37,7 +38,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from . import ae, data, graphs, linalg, lstm, spectral
+from . import ae, data, graphs, lstm, spectral
 from .optim import TrainSchedule
 from .rng import derive_seed
 
@@ -98,22 +99,35 @@ class ExperimentConfig:
                 raise ValueError('latent_scale must be a number, "auto" or null')
         elif self.latent_scale is not None and self.latent_scale <= 0:
             raise ValueError("latent_scale must be positive")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ValueError(f"grad_clip must be positive, got "
+                             f"{self.grad_clip!r}")
 
 
-def _schedule_from_dict(d: dict, label: str) -> TrainSchedule:
+def _schedule_from_dict(d, label: str) -> TrainSchedule:
+    d = _expect(d, dict, label, "an object")
     try:
         return TrainSchedule(
-            epochs=int(d["epochs"]),
-            batch_size=int(d["batch_size"]),
-            lr0=float(d["lr0"]),
-            lr_milestones=tuple((int(e), float(v))
-                                for e, v in d.get("lr_milestones", [])),
-            wd0=float(d.get("wd0", 0.0)),
-            wd_milestones=tuple((int(e), float(v))
-                                for e, v in d.get("wd_milestones", [])),
+            epochs=_as_int(d["epochs"], f"{label} epochs"),
+            batch_size=_as_int(d["batch_size"], f"{label} batch_size"),
+            lr0=_as_float(d["lr0"], f"{label} lr0"),
+            lr_milestones=_milestones(d.get("lr_milestones", []),
+                                      f"{label} lr_milestones"),
+            wd0=_as_float(d.get("wd0", 0.0), f"{label} wd0"),
+            wd_milestones=_milestones(d.get("wd_milestones", []),
+                                      f"{label} wd_milestones"),
         )
     except KeyError as exc:
-        raise ValueError(f"{label} schedule is missing key {exc}") from exc
+        raise ValueError(f"{label} is missing key {exc}") from exc
+
+
+def _milestones(pairs, label: str) -> tuple:
+    if not (isinstance(pairs, (list, tuple)) and all(
+            isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs)):
+        raise ValueError(f"{label} must be a list of [epoch, divisor] "
+                         f"pairs, got {pairs!r}")
+    return tuple((_as_int(e, f"{label} epoch"),
+                  _as_float(v, f"{label} divisor")) for e, v in pairs)
 
 
 def _schedule_to_dict(s: TrainSchedule) -> dict:
@@ -137,38 +151,57 @@ def _as_int(value, label: str) -> int:
     raise ValueError(f"{label} must be an integer, got {value!r}")
 
 
+def _as_float(value, label: str) -> float:
+    """``value`` as a float if it is a real number; bools and the rest raise."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{label} must be a number, got {value!r}")
+
+
+def _expect(value, kind, label: str, what: str):
+    """``value`` if it is a ``kind``, else a ValueError saying ``what``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{label} must be {what}, got {value!r}")
+    return value
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a parsed JSON config and build an ExperimentConfig."""
     for key in ("dataset", "methods", "latent_dims", "seed"):
         if key not in raw:
             raise ValueError(f"config is missing required key {key!r}")
-    if not isinstance(raw["latent_dims"], (list, tuple)):
-        raise ValueError(f"latent_dims must be a list of integers, got "
-                         f"{raw['latent_dims']!r}")
-    ae_sched = (_schedule_from_dict(raw["ae_schedule"], "ae")
+    latent_dims = _expect(raw["latent_dims"], (list, tuple), "latent_dims",
+                          "a list of integers")
+    methods = [_expect(m, str, "methods entry", "a string") for m in
+               _expect(raw["methods"], (list, tuple), "methods", "a list")]
+    ae_sched = (_schedule_from_dict(raw["ae_schedule"], "ae_schedule")
                 if "ae_schedule" in raw else None)
-    lstm_sched = (_schedule_from_dict(raw["lstm_schedule"], "lstm")
+    lstm_sched = (_schedule_from_dict(raw["lstm_schedule"], "lstm_schedule")
                   if "lstm_schedule" in raw else None)
     return ExperimentConfig(
-        dataset=dict(raw["dataset"]),
-        methods=tuple(raw["methods"]),
+        dataset=dict(_expect(raw["dataset"], dict, "dataset", "an object")),
+        methods=tuple(methods),
         latent_dims=tuple(_as_int(m, "latent_dims entry")
-                          for m in raw["latent_dims"]),
+                          for m in latent_dims),
         seed=_as_int(raw["seed"], "seed"),
         ae_schedule=ae_sched,
         lstm_schedule=lstm_sched,
-        train_fraction=float(raw.get("train_fraction", 0.7)),
+        train_fraction=_as_float(raw.get("train_fraction", 0.7),
+                                 "train_fraction"),
         warmup=_as_int(raw.get("warmup", 10), "warmup"),
-        keep_fraction=float(raw.get("keep_fraction",
-                                    graphs.DEFAULT_KEEP_FRACTION)),
-        grad_clip=(float(raw["grad_clip"])
+        keep_fraction=_as_float(raw.get("keep_fraction",
+                                        graphs.DEFAULT_KEEP_FRACTION),
+                                "keep_fraction"),
+        grad_clip=(_as_float(raw["grad_clip"], "grad_clip")
                    if raw.get("grad_clip") is not None else None),
         latent_scale=(raw["latent_scale"]
                       if isinstance(raw.get("latent_scale"), str)
-                      else float(raw["latent_scale"])
+                      else _as_float(raw["latent_scale"], "latent_scale")
                       if raw.get("latent_scale") is not None else None),
-        codec_cache_dir=raw.get("codec_cache_dir"),
-        dump_predictions=bool(raw.get("dump_predictions", False)),
+        codec_cache_dir=_expect(raw.get("codec_cache_dir"), (str, type(None)),
+                                "codec_cache_dir", "a path or null"),
+        dump_predictions=_expect(raw.get("dump_predictions", False), bool,
+                                 "dump_predictions", "true or false"),
         source=dict(raw),
     )
 
@@ -274,20 +307,6 @@ def load_dataset(path, meta_path=None) -> data.SequenceDataset:
 # codecs
 
 
-@dataclass
-class _Codec:
-    method: str
-    m: int
-    enc: object  # (K, n) -> (K, m)
-    dec: object  # (K, m) -> (K, n)
-    loss_history: np.ndarray | None = None
-    eig_gap: float | None = None
-    eig_multiplicity: int | None = None
-
-    def reconstruction_mse(self, frames) -> float:
-        return linalg.mse(frames, self.dec(self.enc(frames)))
-
-
 def _quantize(arr: np.ndarray) -> np.ndarray:
     # cached artifacts are float32 on disk; rounding up front keeps a
     # cache-writing run identical to every cache-reading rerun
@@ -374,12 +393,12 @@ def _eig_diagnostics(eigenvalues: np.ndarray, m: int) -> tuple:
 
 
 def _full_basis(config, method: str, train_frames: np.ndarray,
-                frame_shape) -> spectral.SpectralBasis:
+                frame_shape) -> spectral.LinearCodec:
     n = train_frames.shape[1]
     cache = _cache_file(config, method, n, n)
     packed = _read_cache(cache, (n + 1, n))
     if packed is not None:
-        return spectral.SpectralBasis(n, n, packed[1:], packed[0])
+        return spectral.LinearCodec(packed[1:], packed[0])
     if method == "gft-grid":
         graph = graphs.grid_graph(*frame_shape)
     elif method == "gft-geo":
@@ -390,10 +409,9 @@ def _full_basis(config, method: str, train_frames: np.ndarray,
         raise ValueError(f"not a spectral method: {method}")
     basis = spectral.compute_basis(graphs.laplacian(graph), n)
     if cache is not None:
-        _write_cache(cache, np.vstack([basis.eigenvalues[None, :],
-                                       basis.basis]))
-        basis = spectral.SpectralBasis(n, n, _quantize(basis.basis),
-                                       _quantize(basis.eigenvalues))
+        _write_cache(cache, np.vstack([basis.eigenvalues[None, :], basis.a]))
+        basis = spectral.LinearCodec(_quantize(basis.a),
+                                     _quantize(basis.eigenvalues))
     return basis
 
 
@@ -409,44 +427,38 @@ class _CellInputs:
     test_set: data.SequenceDataset
     train_frames: np.ndarray
     test_frames: np.ndarray
-    bases: dict      # spectral method -> its full SpectralBasis
+    bases: dict      # spectral method -> its full basis (a LinearCodec)
     ae_cached: dict  # m -> the cached AE matrix, or None on a miss
 
 
-def _fit_codec(inputs: _CellInputs, method: str, m: int) -> tuple:
-    """(codec, matrix to cache): the matrix is the freshly trained AE
-    when the config has a codec cache, else None."""
+def _fit_codec(inputs: _CellInputs, cell: ReportCell) -> tuple:
+    """(codec, matrix to cache) of one cell.
+
+    The codec is None for ``raw``, whose latents are the frames
+    themselves.  The matrix is the freshly trained AE when the config
+    has a codec cache, else None.  The AE loss history or the eig
+    diagnostics of the cut go straight into ``cell``.
+    """
     config = inputs.config
-    n = inputs.train_frames.shape[1]
+    method, m = cell.method, cell.m
     if method == "raw":
-        identity = lambda x: np.asarray(x, dtype=np.float64)
-        return _Codec("raw", n, identity, identity), None
+        return None, None
     if method == "ae":
         a = inputs.ae_cached.get(m)
-        trained, history = None, None
         if a is not None:
-            codec = ae.LinearCodec(n, m, a)
-        else:
-            codec0 = ae.init_codec(n, m, _stream(config.seed,
-                                                 _STREAM_AE_INIT, m))
-            codec, history = ae.train(codec0, inputs.train_frames,
-                                      config.ae_schedule,
-                                      _stream(config.seed,
-                                              _STREAM_AE_TRAIN, m))
-            if config.codec_cache_dir is not None:
-                trained = codec.a
-                codec = ae.LinearCodec(n, m, _quantize(codec.a))
-        return _Codec("ae", m,
-                      lambda x, c=codec: ae.encode_frames(c, x),
-                      lambda z, c=codec: ae.decode_frames(c, z),
-                      loss_history=history), trained
+            return spectral.LinearCodec(a), None
+        n = inputs.train_frames.shape[1]
+        codec0 = ae.init_codec(n, m, _stream(config.seed, _STREAM_AE_INIT, m))
+        codec, history = ae.train(codec0, inputs.train_frames,
+                                  config.ae_schedule,
+                                  _stream(config.seed, _STREAM_AE_TRAIN, m))
+        cell.ae_loss_history = [float(v) for v in history]
+        if config.codec_cache_dir is None:
+            return codec, None
+        return spectral.LinearCodec(_quantize(codec.a)), codec.a
     full = inputs.bases[method]
-    basis = spectral.truncate(full, m)
-    gap, multiplicity = _eig_diagnostics(full.eigenvalues, m)
-    return _Codec(method, m,
-                  lambda x, b=basis: spectral.encode_frames(b, x),
-                  lambda z, b=basis: spectral.decode_frames(b, z),
-                  eig_gap=gap, eig_multiplicity=multiplicity), None
+    cell.eig_gap, cell.eig_multiplicity = _eig_diagnostics(full.eigenvalues, m)
+    return spectral.truncate(full, m), None
 
 
 def _validate_compatibility(config: ExperimentConfig,
@@ -602,27 +614,29 @@ def _run_cell(inputs: _CellInputs, method: str, m: int) -> tuple:
     cell's own seeded streams, so the result does not depend on where
     or in which order the cells run.
     """
-    codec, trained = _fit_codec(inputs, method, m)
-    cell = ReportCell(
-        method=method, m=m,
-        recon_mse=codec.reconstruction_mse(inputs.test_frames),
-        ae_loss_history=(None if codec.loss_history is None
-                         else [float(v) for v in codec.loss_history]),
-        eig_gap=codec.eig_gap,
-        eig_multiplicity=codec.eig_multiplicity,
-    )
+    cell = ReportCell(method=method, m=m, recon_mse=0.0)  # raw is exact
+    codec, trained = _fit_codec(inputs, cell)
+    if codec is not None:
+        cell.recon_mse = spectral.reconstruction_mse(codec, inputs.test_frames)
     if inputs.predict:
         (cell.pred_mse, cell.lstm_loss_history,
          cell.sample_prediction) = _predict(inputs, codec, method, m)
     return cell, trained
 
 
-def _predict(inputs: _CellInputs, codec: _Codec, method: str,
-             m: int) -> tuple:
-    """(pred MSE, LSTM loss history, decoded sample or None) of one cell."""
+def _predict(inputs: _CellInputs, codec: spectral.LinearCodec | None,
+             method: str, m: int) -> tuple:
+    """(pred MSE, LSTM loss history, decoded sample or None) of one cell.
+
+    A ``None`` codec (``raw``) feeds the frames to the LSTM as they are.
+    """
     config = inputs.config
     num_train, t_len, _ = inputs.train_set.sequences.shape
-    z_train_flat = codec.enc(inputs.train_frames)
+    if codec is None:
+        z_train_flat, z_test_flat = inputs.train_frames, inputs.test_frames
+    else:
+        z_train_flat = spectral.encode_frames(codec, inputs.train_frames)
+        z_test_flat = spectral.encode_frames(codec, inputs.test_frames)
     if config.latent_scale == "auto":
         # normalise each representation into the predictor's
         # output range by its own peak training magnitude
@@ -630,9 +644,11 @@ def _predict(inputs: _CellInputs, codec: _Codec, method: str,
     else:
         scale = config.latent_scale if config.latent_scale else 1.0
     z_train = (z_train_flat / scale).reshape(num_train, t_len, m)
-    z_test = (codec.enc(inputs.test_frames) / scale).reshape(
-        inputs.test_set.count, t_len, m)
-    decode_fn = (lambda zp: codec.dec(zp * scale))
+    z_test = (z_test_flat / scale).reshape(inputs.test_set.count, t_len, m)
+
+    def decode_fn(zp):  # (k, m) latents -> (k, n) frames
+        zp = zp * scale
+        return zp if codec is None else spectral.decode_frames(codec, zp)
 
     method_ix = METHODS.index(method)
     cell0 = lstm.init_cell(m, _stream(config.seed, _STREAM_LSTM_INIT,

@@ -1,9 +1,9 @@
-"""Dense float64 linear algebra: products, mean squared error, eigensolver.
+"""Dense float64 linear algebra: input checks, mean squared error, eigensolver.
 
 Matrices are plain 2-D row-major ``numpy`` arrays and vectors are 1-D
 arrays; :func:`as_matrix` / :func:`as_vector` coerce and validate inputs
-at module boundaries (shape, finiteness).  Products and reductions
-delegate to numpy.  The symmetric eigendecomposition is LAPACK's
+at module boundaries (shape, finiteness).  Products are numpy's own
+``@``.  The symmetric eigendecomposition is LAPACK's
 (``np.linalg.eigh``) with one fixed sign per eigenvector, so a basis
 is a function of the matrix alone except inside degenerate
 eigenspaces, where only the span is determined.
@@ -40,15 +40,6 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{name} contains non-finite entries")
     return out
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit dimension checking."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
 
 
 def mse(a, b) -> float:

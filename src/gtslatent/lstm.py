@@ -69,18 +69,6 @@ class LstmCell:
         return {name: getattr(self, name) for name in PARAM_NAMES}
 
 
-@dataclass(frozen=True)
-class LstmState:
-    """Hidden state (the running prediction) and cell state."""
-
-    h: np.ndarray
-    c: np.ndarray
-
-
-def zero_state(m: int) -> LstmState:
-    return LstmState(np.zeros(m), np.zeros(m))
-
-
 def cell_from_params(m: int, params: dict) -> LstmCell:
     return LstmCell(m, **{name: params[name] for name in PARAM_NAMES})
 
@@ -104,30 +92,6 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def step(cell: LstmCell, x, state: LstmState) -> LstmState:
-    """One gate update: returns the next (hidden, cell) state.
-
-    The hidden state of the returned state is the prediction of the
-    next frame.
-    """
-    v = linalg.as_vector(x, "input")
-    if v.shape[0] != cell.m:
-        raise ValueError(f"input length {v.shape[0]} != m={cell.m}")
-    h = linalg.as_vector(state.h, "hidden state")
-    c = linalg.as_vector(state.c, "cell state")
-    if h.shape[0] != cell.m or c.shape[0] != cell.m:
-        raise ValueError("state dimension does not match the cell")
-
-    with np.errstate(over="ignore"):
-        i = _sigmoid(cell.w_ii @ v + cell.b_ii + cell.w_hi @ h + cell.b_hi)
-        f = _sigmoid(cell.w_if @ v + cell.b_if + cell.w_hf @ h + cell.b_hf)
-        g = np.tanh(cell.w_ig @ v + cell.b_ig + cell.w_hg @ h + cell.b_hg)
-        o = _sigmoid(cell.w_io @ v + cell.b_io + cell.w_ho @ h + cell.b_ho)
-    c_new = f * c + i * g
-    h_new = o * np.tanh(c_new)
-    return LstmState(h_new, c_new)
-
-
 def _check_rollout_args(num_frames: int, warmup: int):
     if num_frames < 2:
         raise ValueError("sequences need at least 2 frames")
@@ -135,28 +99,6 @@ def _check_rollout_args(num_frames: int, warmup: int):
         raise ValueError(
             f"warmup {warmup} outside [1, {num_frames - 1}]"
         )
-
-
-def run_sequence(cell: LstmCell, frames, warmup: int) -> np.ndarray:
-    """Roll the cell over one (T, m) sequence; returns (T-1, m) predictions.
-
-    Row k of the result is the prediction of frame k+1.  The first
-    ``warmup`` steps consume real frames; every later step consumes the
-    previous prediction.
-    """
-    f = linalg.as_matrix(frames, "frames")
-    t_total = f.shape[0]
-    _check_rollout_args(t_total, warmup)
-    if f.shape[1] != cell.m:
-        raise ValueError(f"frame length {f.shape[1]} != m={cell.m}")
-
-    state = zero_state(cell.m)
-    preds = np.empty((t_total - 1, cell.m))
-    for k in range(t_total - 1):
-        x = f[k] if k < warmup else preds[k - 1]
-        state = step(cell, x, state)
-        preds[k] = state.h
-    return preds
 
 
 def _forward(cell: LstmCell, batch: np.ndarray, warmup: int,
@@ -296,8 +238,8 @@ def train(cell: LstmCell, sequences, schedule: TrainSchedule, warmup: int,
 
     ``sequences`` is (S, T, m).  Gradients are averaged over the batch
     (the batched loss already normalises by batch size).  Optional
-    global-norm gradient clipping is off by default.  Returns the
-    trained cell and per-epoch mean training loss.
+    global-norm gradient clipping to a positive ``grad_clip`` is off by
+    default.  Returns the trained cell and per-epoch mean training loss.
 
     The sequences are validated once, on entry.  The 16 parameters and
     their gradients live as views in two flat buffers; the working cell
@@ -315,6 +257,9 @@ def train(cell: LstmCell, sequences, schedule: TrainSchedule, warmup: int,
     _check_rollout_args(s.shape[1], warmup)
     if s.shape[2] != cell.m:
         raise ValueError(f"frame length {s.shape[2]} != m={cell.m}")
+    if grad_clip is not None and not grad_clip > 0:
+        # a negative scale would turn every step into gradient ascent
+        raise ValueError(f"grad_clip must be positive, got {grad_clip!r}")
 
     rng = Rng(seed)
     initial = cell.params()
@@ -347,29 +292,6 @@ def train(cell: LstmCell, sequences, schedule: TrainSchedule, warmup: int,
         history[epoch] = total / num
     return cell_from_params(cell.m, {name: arr.copy()
                                      for name, arr in params.items()}), history
-
-
-def save_cell(cell: LstmCell, out_dir) -> None:
-    """Persist the cell as 16 GTS1 tensors named after the parameters."""
-    from pathlib import Path
-    from . import data
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, arr in cell.params().items():
-        data.save_tensor(out / f"{name}.gts", arr.shape, arr)
-
-
-def load_cell(path) -> LstmCell:
-    """Load a cell written by :func:`save_cell` (float32 rounded)."""
-    from pathlib import Path
-    from . import data
-    src = Path(path)
-    params = {}
-    for name in PARAM_NAMES:
-        dims, values = data.load_tensor(src / f"{name}.gts")
-        params[name] = values
-    m = params["w_ii"].shape[0]
-    return cell_from_params(m, params)
 
 
 def rollout(cell: LstmCell, sequences, warmup: int) -> np.ndarray:

@@ -1,10 +1,13 @@
-"""Graph Fourier transform with low-frequency truncation.
+"""Linear codecs: the truncated graph Fourier transform and its kin.
 
-The basis is the eigenvector matrix of a graph Laplacian with columns
-ordered by ascending eigenvalue; keeping the first ``m`` columns keeps
-the ``m`` lowest graph frequencies.  Encoding projects a signal onto
-those columns, decoding lifts coefficients back to the signal domain;
-the round trip is the orthogonal projection onto the retained span.
+A :class:`LinearCodec` is one (n, m) matrix ``A``: encoding is ``x A``
+and decoding is ``z A^T``, row by row, so the round trip is
+``x A A^T``.  Both representations the package compares are such a
+codec.  A graph Fourier basis is the eigenvector matrix of a graph
+Laplacian with columns ordered by ascending eigenvalue; keeping the
+first ``m`` columns keeps the ``m`` lowest graph frequencies, and the
+round trip is the orthogonal projection onto the retained span.  The
+tied linear autoencoder (:mod:`ae`) trains a general ``A``.
 
 Eigenvector signs are fixed by :func:`linalg.sym_eig` (the first
 peak-magnitude entry of each column is positive), so coefficients
@@ -24,87 +27,84 @@ from . import linalg
 
 
 @dataclass(frozen=True)
-class SpectralBasis:
-    """The m lowest-frequency Laplacian eigenvectors of an n-node graph."""
+class LinearCodec:
+    """Encode/decode matrix ``a`` of shape (n, m), 1 <= m <= n.
 
-    n: int
-    m: int
-    basis: np.ndarray        # (n, m), orthonormal columns
-    eigenvalues: np.ndarray  # (m,), ascending
+    ``eigenvalues`` (ascending, length m) is set only for a graph
+    Fourier basis, whose columns are the matching Laplacian
+    eigenvectors.
+    """
+
+    a: np.ndarray
+    eigenvalues: np.ndarray | None = None
 
     def __post_init__(self):
-        b = linalg.as_matrix(self.basis, "basis")
-        ev = linalg.as_vector(self.eigenvalues, "eigenvalues")
-        if not 1 <= self.m <= self.n:
-            raise ValueError(f"m={self.m} out of range [1, {self.n}]")
-        if b.shape != (self.n, self.m):
-            raise ValueError(f"basis shape {b.shape} != ({self.n}, {self.m})")
-        if ev.shape != (self.m,):
-            raise ValueError("eigenvalues length does not match m")
-        if np.any(np.diff(ev) < -1e-10):
-            raise ValueError("eigenvalues must be ascending")
-        object.__setattr__(self, "basis", b)
-        object.__setattr__(self, "eigenvalues", ev)
+        a = linalg.as_matrix(self.a, "codec matrix")
+        n, m = a.shape
+        if not 1 <= m <= n:
+            raise ValueError(f"m={m} out of range [1, {n}]")
+        object.__setattr__(self, "a", a)
+        if self.eigenvalues is not None:
+            ev = linalg.as_vector(self.eigenvalues, "eigenvalues")
+            if ev.shape != (m,):
+                raise ValueError("eigenvalues length does not match m")
+            if np.any(np.diff(ev) < -1e-10):
+                raise ValueError("eigenvalues must be ascending")
+            object.__setattr__(self, "eigenvalues", ev)
+
+    @property
+    def n(self) -> int:
+        return self.a.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.a.shape[1]
 
 
-def compute_basis(lap, m: int) -> SpectralBasis:
+def compute_basis(lap, m: int) -> LinearCodec:
     """Eigendecompose a Laplacian and keep the m lowest-eigenvalue columns."""
     l = linalg.as_matrix(lap, "laplacian")
     n = l.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"m={m} out of range [1, {n}]")
     eigenvalues, eigenvectors = linalg.sym_eig(l)
-    return SpectralBasis(n, m, eigenvectors[:, :m].copy(),
-                         eigenvalues[:m].copy())
+    # copies, not column views: a strided matrix may take another BLAS
+    # path in the products below and round differently
+    return LinearCodec(eigenvectors[:, :m].copy(), eigenvalues[:m].copy())
 
 
-def truncate(basis: SpectralBasis, m: int) -> SpectralBasis:
-    """Narrow an existing basis to its m lowest-frequency columns.
+def truncate(codec: LinearCodec, m: int) -> LinearCodec:
+    """Keep a codec's first m columns: a basis's m lowest frequencies.
 
     Lets callers eigendecompose once per graph and reuse the result
     for a whole sweep of latent dimensions.
     """
-    if not 1 <= m <= basis.m:
-        raise ValueError(f"m={m} out of range [1, {basis.m}]")
-    if m == basis.m:
-        return basis
-    return SpectralBasis(basis.n, m, basis.basis[:, :m].copy(),
-                         basis.eigenvalues[:m].copy())
+    if not 1 <= m <= codec.m:
+        raise ValueError(f"m={m} out of range [1, {codec.m}]")
+    if m == codec.m:
+        return codec
+    return LinearCodec(codec.a[:, :m].copy(),
+                       None if codec.eigenvalues is None
+                       else codec.eigenvalues[:m].copy())
 
 
-def encode(basis: SpectralBasis, x) -> np.ndarray:
-    """Forward transform: coefficients of x on the retained eigenvectors."""
-    v = linalg.as_vector(x, "signal")
-    if v.shape[0] != basis.n:
-        raise ValueError(f"signal length {v.shape[0]} != n={basis.n}")
-    return basis.basis.T @ v
-
-
-def decode(basis: SpectralBasis, coeffs) -> np.ndarray:
-    """Inverse transform: signal-domain vector with the given coefficients."""
-    c = linalg.as_vector(coeffs, "coefficients")
-    if c.shape[0] != basis.m:
-        raise ValueError(f"coefficient length {c.shape[0]} != m={basis.m}")
-    return basis.basis @ c
-
-
-def encode_frames(basis: SpectralBasis, frames) -> np.ndarray:
+def encode_frames(codec: LinearCodec, frames) -> np.ndarray:
     """Encode a (num_frames, n) stack row by row."""
     f = linalg.as_matrix(frames, "frames")
-    if f.shape[1] != basis.n:
-        raise ValueError(f"frame length {f.shape[1]} != n={basis.n}")
-    return f @ basis.basis
+    if f.shape[1] != codec.n:
+        raise ValueError(f"frame length {f.shape[1]} != n={codec.n}")
+    return f @ codec.a
 
 
-def decode_frames(basis: SpectralBasis, coeffs) -> np.ndarray:
+def decode_frames(codec: LinearCodec, coeffs) -> np.ndarray:
     """Decode a (num_frames, m) stack row by row."""
     c = linalg.as_matrix(coeffs, "coefficients")
-    if c.shape[1] != basis.m:
-        raise ValueError(f"coefficient length {c.shape[1]} != m={basis.m}")
-    return c @ basis.basis.T
+    if c.shape[1] != codec.m:
+        raise ValueError(f"coefficient length {c.shape[1]} != m={codec.m}")
+    return c @ codec.a.T
 
 
-def reconstruction_mse(basis: SpectralBasis, frames) -> float:
-    """Mean squared round-trip error of the truncated transform."""
+def reconstruction_mse(codec: LinearCodec, frames) -> float:
+    """Mean squared round-trip error of the codec."""
     f = linalg.as_matrix(frames, "frames")
-    return linalg.mse(f, decode_frames(basis, encode_frames(basis, f)))
+    return linalg.mse(f, decode_frames(codec, encode_frames(codec, f)))

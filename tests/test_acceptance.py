@@ -103,8 +103,8 @@ def _fd_ae(codec, batch, h=1e-6):
         plus[idx] += h
         minus = codec.a.copy()
         minus[idx] -= h
-        lp, _ = ae.loss_and_grad(ae.LinearCodec(codec.n, codec.m, plus), batch)
-        lm, _ = ae.loss_and_grad(ae.LinearCodec(codec.n, codec.m, minus), batch)
+        lp, _ = ae.loss_and_grad(spectral.LinearCodec(plus), batch)
+        lm, _ = ae.loss_and_grad(spectral.LinearCodec(minus), batch)
         grad[idx] = (lp - lm) / (2.0 * h)
     return grad
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gtslatent import ae, linalg
+from gtslatent import ae, linalg, spectral
 from gtslatent.optim import TrainSchedule, adam_step, schedule_at
 from gtslatent.rng import Rng
 
@@ -15,8 +15,8 @@ def _finite_difference_grad(codec, batch, h=1e-6):
         plus[idx] += h
         minus = codec.a.copy()
         minus[idx] -= h
-        lp, _ = ae.loss_and_grad(ae.LinearCodec(codec.n, codec.m, plus), batch)
-        lm, _ = ae.loss_and_grad(ae.LinearCodec(codec.n, codec.m, minus), batch)
+        lp, _ = ae.loss_and_grad(spectral.LinearCodec(plus), batch)
+        lm, _ = ae.loss_and_grad(spectral.LinearCodec(minus), batch)
         grad[idx] = (lp - lm) / (2.0 * h)
     return grad
 
@@ -34,7 +34,7 @@ def _reference_train(codec, frames, schedule, seed):
         total = 0.0
         for start in range(0, len(order), schedule.batch_size):
             chunk = order[start:start + schedule.batch_size]
-            loss, grad = ae.loss_and_grad(ae.LinearCodec(codec.n, codec.m, a),
+            loss, grad = ae.loss_and_grad(spectral.LinearCodec(a),
                                           frames[chunk])
             t += 1
             g = grad + wd * a
@@ -70,76 +70,82 @@ class TestInit:
 
 
 class TestEncodeDecode:
+    """An AE codec encodes and decodes through the spectral functions."""
+
     def test_identity_columns_select_entries(self):
-        codec = ae.LinearCodec(5, 2, np.eye(5)[:, :2])
-        x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert np.array_equal(ae.encode(codec, x), [1.0, 2.0])
+        codec = spectral.LinearCodec(np.eye(5)[:, :2])
+        x = np.array([[1.0, 2.0, 3.0, 4.0, 5.0]])
+        assert np.array_equal(spectral.encode_frames(codec, x), [[1.0, 2.0]])
 
     def test_zero_signal(self):
         codec = ae.init_codec(6, 3, seed=3)
-        assert np.array_equal(ae.encode(codec, np.zeros(6)), np.zeros(3))
+        assert np.array_equal(spectral.encode_frames(codec, np.zeros((2, 6))),
+                              np.zeros((2, 3)))
 
     def test_encode_matches_matmul_oracle(self):
         codec = ae.init_codec(7, 3, seed=4)
-        x = Rng(5).uniform_matrix(1, 7, -1.0, 1.0)[0]
-        by_matmul = linalg.matmul(codec.a.T, x[:, None])[:, 0]
-        assert np.max(np.abs(ae.encode(codec, x) - by_matmul)) < 1e-12
+        x = Rng(5).uniform_matrix(2, 7, -1.0, 1.0)
+        by_loop = np.array([[sum(x[b, i] * codec.a[i, j] for i in range(7))
+                             for j in range(3)] for b in range(2)])
+        assert np.max(np.abs(spectral.encode_frames(codec, x) - by_loop)) < 1e-12
 
     def test_orthonormal_columns_round_trip_span(self):
         q, _ = np.linalg.qr(Rng(6).uniform_matrix(6, 2, -1.0, 1.0))
-        codec = ae.LinearCodec(6, 2, q)
-        x = q @ np.array([0.3, -1.2])  # in the column span
-        back = ae.decode(codec, ae.encode(codec, x))
+        codec = spectral.LinearCodec(q)
+        x = np.array([[0.3, -1.2], [2.0, 0.5]]) @ q.T  # rows in the span
+        back = spectral.decode_frames(codec, spectral.encode_frames(codec, x))
         assert np.max(np.abs(back - x)) < 1e-10
 
     def test_zero_codec_reconstruction(self):
-        codec = ae.LinearCodec(4, 2, np.zeros((4, 2)))
-        x = np.array([1.0, -1.0, 2.0, 0.5])
-        back = ae.decode(codec, ae.encode(codec, x))
-        assert np.array_equal(back, np.zeros(4))
-        loss, _ = ae.loss_and_grad(codec, x[None, :])
+        codec = spectral.LinearCodec(np.zeros((4, 2)))
+        x = np.array([[1.0, -1.0, 2.0, 0.5]])
+        back = spectral.decode_frames(codec, spectral.encode_frames(codec, x))
+        assert np.array_equal(back, np.zeros((1, 4)))
+        loss, _ = ae.loss_and_grad(codec, x)
         assert abs(loss - np.mean(x ** 2)) < 1e-15
+        assert spectral.reconstruction_mse(codec, x) == loss
 
     def test_round_trip_equals_gram_oracle(self):
         codec = ae.init_codec(6, 3, seed=7)
-        x = Rng(8).uniform_matrix(1, 6, -1.0, 1.0)[0]
-        oracle = linalg.matmul(linalg.matmul(codec.a, codec.a.T),
-                               x[:, None])[:, 0]
-        back = ae.decode(codec, ae.encode(codec, x))
+        x = Rng(8).uniform_matrix(3, 6, -1.0, 1.0)
+        oracle = x @ (codec.a @ codec.a.T)
+        back = spectral.decode_frames(codec, spectral.encode_frames(codec, x))
         assert np.max(np.abs(back - oracle)) < 1e-12
 
     def test_linearity(self):
         codec = ae.init_codec(5, 2, seed=9)
         rng = Rng(10)
-        x = rng.uniform_matrix(1, 5, -1.0, 1.0)[0]
-        y = rng.uniform_matrix(1, 5, -1.0, 1.0)[0]
-        combo = ae.encode(codec, 2.0 * x - 3.0 * y)
-        split = 2.0 * ae.encode(codec, x) - 3.0 * ae.encode(codec, y)
+        x = rng.uniform_matrix(2, 5, -1.0, 1.0)
+        y = rng.uniform_matrix(2, 5, -1.0, 1.0)
+        combo = spectral.encode_frames(codec, 2.0 * x - 3.0 * y)
+        split = (2.0 * spectral.encode_frames(codec, x)
+                 - 3.0 * spectral.encode_frames(codec, y))
         assert np.max(np.abs(combo - split)) < 1e-10
-        u = rng.uniform_matrix(1, 2, -1.0, 1.0)[0]
-        v = rng.uniform_matrix(1, 2, -1.0, 1.0)[0]
-        combo = ae.decode(codec, 0.5 * u + 4.0 * v)
-        split = 0.5 * ae.decode(codec, u) + 4.0 * ae.decode(codec, v)
+        u = rng.uniform_matrix(2, 2, -1.0, 1.0)
+        v = rng.uniform_matrix(2, 2, -1.0, 1.0)
+        combo = spectral.decode_frames(codec, 0.5 * u + 4.0 * v)
+        split = (0.5 * spectral.decode_frames(codec, u)
+                 + 4.0 * spectral.decode_frames(codec, v))
         assert np.max(np.abs(combo - split)) < 1e-10
 
     def test_length_mismatch(self):
         codec = ae.init_codec(5, 2, seed=11)
         with pytest.raises(ValueError):
-            ae.encode(codec, np.zeros(4))
+            spectral.encode_frames(codec, np.zeros((1, 4)))
         with pytest.raises(ValueError):
-            ae.decode(codec, np.zeros(3))
+            spectral.decode_frames(codec, np.zeros((1, 3)))
 
 
 class TestLossAndGrad:
     def test_zero_codec_has_zero_gradient(self):
-        codec = ae.LinearCodec(4, 2, np.zeros((4, 2)))
+        codec = spectral.LinearCodec(np.zeros((4, 2)))
         batch = Rng(1).uniform_matrix(3, 4, -1.0, 1.0)
         _, grad = ae.loss_and_grad(codec, batch)
         assert np.array_equal(grad, np.zeros((4, 2)))
 
     def test_span_signals_give_zero_loss_and_grad(self):
         q, _ = np.linalg.qr(Rng(2).uniform_matrix(6, 3, -1.0, 1.0))
-        codec = ae.LinearCodec(6, 3, q)
+        codec = spectral.LinearCodec(q)
         batch = (q @ Rng(3).uniform_matrix(3, 4, -1.0, 1.0)).T  # in span
         loss, grad = ae.loss_and_grad(codec, batch)
         assert loss < 1e-25
@@ -178,6 +184,8 @@ class TestTrain:
         sched = TrainSchedule(epochs=0, batch_size=2, lr0=0.1)
         out, history = ae.train(codec, Rng(2).uniform_matrix(6, 4, -1, 1),
                                 sched, seed=3)
+        assert isinstance(out, spectral.LinearCodec)
+        assert out.eigenvalues is None
         assert np.array_equal(out.a, codec.a)
         assert history.shape == (0,)
 
@@ -193,7 +201,7 @@ class TestTrain:
         codec = ae.init_codec(2, 1, seed=5)
         sched = TrainSchedule(epochs=300, batch_size=10, lr0=0.02)
         trained, history = ae.train(codec, frames, sched, seed=6)
-        assert ae.reconstruction_mse(trained, frames) < 1e-3
+        assert spectral.reconstruction_mse(trained, frames) < 1e-3
         assert history[-1] < history[0]
 
     def test_same_seed_bitwise_identical(self):
@@ -215,7 +223,7 @@ class TestTrain:
         lam = np.sort(np.linalg.eigvalsh(scatter))
         floor = lam[:-2].sum() / frames.size
         assert history[-1] >= floor - 1e-6
-        assert ae.reconstruction_mse(trained, frames) >= floor - 1e-6
+        assert spectral.reconstruction_mse(trained, frames) >= floor - 1e-6
 
     def test_matches_reference_loop_bitwise(self):
         codec = ae.init_codec(12, 4, seed=14)
@@ -251,14 +259,3 @@ class TestTrain:
         sched = TrainSchedule(epochs=1, batch_size=2, lr0=0.1)
         with pytest.raises(ValueError):
             ae.train(codec, np.zeros((0, 4)), sched, seed=2)
-
-
-class TestPersistence:
-    def test_round_trip_through_gts1(self, tmp_path):
-        codec = ae.init_codec(6, 3, seed=13)
-        path = tmp_path / "codec.gts"
-        ae.save_codec(codec, path)
-        loaded = ae.load_codec(path)
-        assert loaded.n == 6 and loaded.m == 3
-        assert np.array_equal(loaded.a,
-                              codec.a.astype(np.float32).astype(np.float64))

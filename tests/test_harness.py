@@ -29,6 +29,10 @@ def _tiny_config(**overrides):
     return cfg
 
 
+def _schedule(**overrides):
+    return {"epochs": 3, "batch_size": 3, "lr0": 0.001, **overrides}
+
+
 class TestConfig:
     def test_missing_keys(self):
         with pytest.raises(ValueError, match="dataset"):
@@ -66,10 +70,29 @@ class TestConfig:
         ("latent_dims", 4), ("latent_dims", [4.7]), ("latent_dims", [True]),
         ("latent_dims", ["4"]), ("seed", None), ("seed", 1.5),
         ("seed", False), ("warmup", 2.0), ("warmup", True),
+        # malformed types other than integers, and schedule entries
+        ("ae_schedule", _schedule(epochs=2.5)),
+        ("ae_schedule", _schedule(batch_size=True)),
+        ("ae_schedule", _schedule(epochs=None)),
+        ("lstm_schedule", _schedule(lr_milestones=[[1.7, 0.5]])),
+        ("lstm_schedule", _schedule(wd_milestones=[[2, "10"]])),
+        ("lstm_schedule", _schedule(lr_milestones=3)),
+        ("ae_schedule", _schedule(lr0="0.01")),
+        ("ae_schedule", 3), ("dataset", 3), ("methods", 5), ("methods", "ae"),
+        ("train_fraction", None), ("keep_fraction", "0.5"),
+        ("grad_clip", True), ("latent_scale", True),
+        ("dump_predictions", "no"), ("dump_predictions", 1),
+        ("codec_cache_dir", 5),
     ])
     def test_malformed_integers_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
             harness.config_from_dict(_tiny_config(**{key: value}))
+
+    @pytest.mark.parametrize("grad_clip", [-1.0, 0.0, float("nan")])
+    def test_non_positive_grad_clip_rejected(self, grad_clip):
+        with pytest.raises(ValueError, match="grad_clip must be positive"):
+            harness.config_from_dict(_tiny_config(grad_clip=grad_clip))
+        harness.config_from_dict(_tiny_config(grad_clip=0.5))
 
     def test_hash_ignores_formatting_only(self):
         a = harness.config_from_dict(_tiny_config())
@@ -559,6 +582,9 @@ class TestCli:
 
     @pytest.mark.parametrize("key, value", [
         ("latent_dims", 4), ("seed", None), ("latent_dims", [4.7]),
+        ("methods", "ae"), ("methods", 5), ("dataset", 3), ("ae_schedule", 3),
+        ("ae_schedule", _schedule(epochs=None)), ("train_fraction", None),
+        ("dump_predictions", "no"), ("grad_clip", -1.0),
     ])
     def test_malformed_types_exit_nonzero(self, tmp_path, capsys, key, value):
         cfg_path = self._write_config(tmp_path, _tiny_config(**{key: value}))

@@ -11,56 +11,6 @@ def _rand_matrix(rng, rows, cols, lo=-2.0, hi=2.0):
     return rng.uniform_matrix(rows, cols, lo, hi)
 
 
-def _naive_matmul(a, b):
-    rows, inner = a.shape
-    cols = b.shape[1]
-    out = np.zeros((rows, cols))
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0.0
-            for k in range(inner):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = _rand_matrix(Rng(1), 3, 3)
-        assert np.array_equal(linalg.matmul(np.eye(3), m), m)
-
-    def test_hand_arithmetic(self):
-        out = linalg.matmul([[1.0, 2.0], [3.0, 4.0]], [[0.0], [1.0]])
-        assert np.array_equal(out, [[2.0], [4.0]])
-
-    def test_against_triple_loop_oracle(self):
-        rng = Rng(2)
-        a = _rand_matrix(rng, 4, 5)
-        b = _rand_matrix(rng, 5, 3)
-        assert np.max(np.abs(linalg.matmul(a, b) - _naive_matmul(a, b))) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            linalg.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_rejects_non_2d_and_non_finite(self):
-        with pytest.raises(ValueError):
-            linalg.matmul(np.ones(3), np.ones((3, 1)))
-        with pytest.raises(ValueError):
-            linalg.matmul(np.array([[np.nan, 1.0], [0.0, 1.0]]), np.eye(2))
-
-    def test_associativity(self):
-        rng = Rng(3)
-        for _ in range(20):
-            dims = [rng.randint(4) + 1 for _ in range(4)]
-            a = _rand_matrix(rng, dims[0], dims[1])
-            b = _rand_matrix(rng, dims[1], dims[2])
-            c = _rand_matrix(rng, dims[2], dims[3])
-            left = linalg.matmul(linalg.matmul(a, b), c)
-            right = linalg.matmul(a, linalg.matmul(b, c))
-            assert np.max(np.abs(left - right)) < 1e-10
-
-
 class TestMse:
     def test_identical_is_zero(self):
         x = _rand_matrix(Rng(4), 3, 4)

@@ -75,6 +75,48 @@ def _reference_train(cell, seqs, schedule, warmup, seed, grad_clip=None):
     return params, np.array(history)
 
 
+def _reference_step(cell, x, h, c):
+    """One gate update of a single sequence, written out per gate."""
+    i = 1.0 / (1.0 + np.exp(-(cell.w_ii @ x + cell.b_ii + cell.w_hi @ h
+                              + cell.b_hi)))
+    f = 1.0 / (1.0 + np.exp(-(cell.w_if @ x + cell.b_if + cell.w_hf @ h
+                              + cell.b_hf)))
+    g = np.tanh(cell.w_ig @ x + cell.b_ig + cell.w_hg @ h + cell.b_hg)
+    o = 1.0 / (1.0 + np.exp(-(cell.w_io @ x + cell.b_io + cell.w_ho @ h
+                              + cell.b_ho)))
+    c_new = f * c + i * g
+    return o * np.tanh(c_new), c_new
+
+
+def _reference_run(cell, frames, warmup):
+    """(T-1, m) predictions of one sequence by chaining _reference_step."""
+    h = c = np.zeros(cell.m)
+    preds = []
+    for k in range(frames.shape[0] - 1):
+        h, c = _reference_step(cell, frames[k] if k < warmup else preds[-1],
+                               h, c)
+        preds.append(h)
+    return np.array(preds)
+
+
+def _states(cell, frames, warmup):
+    """(hidden, cell) state after every step of a one-sequence rollout.
+
+    Read back from the forward pass's cache, whose step k holds the
+    gates and the state it started from.
+    """
+    preds, cache = lstm._forward(cell, frames[None], warmup, keep_cache=True)
+    cs = np.array([f * c + i * g for _, _, c, i, f, g, _, _ in cache])
+    return preds[0], cs[:, 0, :]
+
+
+def _zero_cell(m):
+    return lstm.cell_from_params(m, {
+        **{k: np.zeros((m, m)) for k in lstm.WEIGHT_NAMES},
+        **{k: np.zeros(m) for k in lstm.BIAS_NAMES},
+    })
+
+
 class TestInit:
     def test_deterministic(self):
         a = lstm.init_cell(3, seed=1)
@@ -95,27 +137,27 @@ class TestInit:
 
 
 class TestStep:
+    """One gate update, seen through a one-sequence rollout."""
+
     def test_all_zero_cell(self):
-        m = 4
-        cell = lstm.cell_from_params(m, {
-            **{k: np.zeros((m, m)) for k in lstm.WEIGHT_NAMES},
-            **{k: np.zeros(m) for k in lstm.BIAS_NAMES},
-        })
-        state = lstm.step(cell, np.array([1.0, -2.0, 0.5, 3.0]),
-                          lstm.zero_state(m))
-        assert np.array_equal(state.c, np.zeros(m))
-        assert np.array_equal(state.h, np.zeros(m))
+        frames = np.array([[1.0, -2.0, 0.5, 3.0], [0.0, 0.0, 0.0, 0.0]])
+        h, c = _states(_zero_cell(4), frames, warmup=1)
+        assert np.array_equal(c, np.zeros((1, 4)))
+        assert np.array_equal(h, np.zeros((1, 4)))
 
     def test_zero_weights_nonzero_cell_state(self):
+        # with zero weights every gate is constant: i = f = o = 1/2 and
+        # g = tanh(b_ig), so the first step leaves c_1 = g / 2 != 0 and
+        # the second must keep half of it
         m = 2
-        cell = lstm.cell_from_params(m, {
-            **{k: np.zeros((m, m)) for k in lstm.WEIGHT_NAMES},
-            **{k: np.zeros(m) for k in lstm.BIAS_NAMES},
-        })
-        c_prev = np.array([0.8, -0.4])
-        state = lstm.step(cell, np.zeros(m), lstm.LstmState(np.zeros(m), c_prev))
-        assert np.max(np.abs(state.c - 0.5 * c_prev)) < 1e-15
-        assert np.max(np.abs(state.h - 0.5 * np.tanh(0.5 * c_prev))) < 1e-15
+        params = _zero_cell(m).params()
+        params["b_ig"] = np.array([1.2, -0.4])
+        cell = lstm.cell_from_params(m, params)
+        h, c = _states(cell, np.zeros((3, m)), warmup=2)
+        g = np.tanh(params["b_ig"])
+        assert np.max(np.abs(c[1] - (0.5 * c[0] + 0.5 * g))) < 1e-15
+        assert np.max(np.abs(c[0] - 0.5 * g)) < 1e-15
+        assert np.max(np.abs(h[1] - 0.5 * np.tanh(c[1]))) < 1e-15
 
     def test_scalar_oracle(self):
         # m=1, every weight and bias 0.1, x=1, state zero
@@ -123,44 +165,42 @@ class TestStep:
             **{k: np.array([[0.1]]) for k in lstm.WEIGHT_NAMES},
             **{k: np.array([0.1]) for k in lstm.BIAS_NAMES},
         })
-        state = lstm.step(cell, np.array([1.0]), lstm.zero_state(1))
+        h, c = _states(cell, np.array([[1.0], [0.0]]), warmup=1)
         pre = 0.1 * 1.0 + 0.1 + 0.1 * 0.0 + 0.1  # = 0.3 for every gate
         sig = 1.0 / (1.0 + math.exp(-pre))
         g = math.tanh(pre)
-        c = sig * 0.0 + sig * g
-        h = sig * math.tanh(c)
-        assert abs(state.c[0] - c) < 1e-12
-        assert abs(state.h[0] - h) < 1e-12
+        c_ref = sig * 0.0 + sig * g
+        h_ref = sig * math.tanh(c_ref)
+        assert abs(c[0, 0] - c_ref) < 1e-12
+        assert abs(h[0, 0] - h_ref) < 1e-12
+        assert abs(lstm.rollout(cell, np.array([[[1.0], [0.0]]]), 1)[0, 0, 0]
+                   - h_ref) < 1e-12
 
     def test_dimension_mismatch(self):
         cell = lstm.init_cell(3, seed=1)
         with pytest.raises(ValueError):
-            lstm.step(cell, np.zeros(2), lstm.zero_state(3))
+            lstm.rollout(cell, np.zeros((1, 2, 2)), warmup=1)
         with pytest.raises(ValueError):
-            lstm.step(cell, np.zeros(3), lstm.zero_state(2))
+            lstm.loss_and_grad(cell, np.zeros((2, 2)), warmup=1)
 
     def test_gate_bounds_via_state(self):
         # |c_t| <= |c_{t-1}| + 1 and |h| < 1 for any finite input
         cell = _random_cell(3, seed=3, bias_scale=2.0)
-        state = lstm.zero_state(3)
-        rng = Rng(4)
-        for _ in range(50):
-            x = rng.uniform_matrix(1, 3, -5.0, 5.0)[0]
-            new = lstm.step(cell, x, state)
-            assert np.all(np.abs(new.c) <= np.abs(state.c) + 1.0 + 1e-12)
-            assert np.all(np.abs(new.h) < 1.0)
-            state = new
+        frames = Rng(4).uniform_matrix(51, 3, -5.0, 5.0)
+        h, c = _states(cell, frames, warmup=50)
+        prev = np.vstack([np.zeros((1, 3)), c[:-1]])
+        assert np.all(np.abs(c) <= np.abs(prev) + 1.0 + 1e-12)
+        assert np.all(np.abs(h) < 1.0)
 
 
 class TestRunSequence:
+    """One sequence rolled out on its own (S = 1)."""
+
     def test_zero_cell_predicts_zero(self):
         m = 3
-        cell = lstm.cell_from_params(m, {
-            **{k: np.zeros((m, m)) for k in lstm.WEIGHT_NAMES},
-            **{k: np.zeros(m) for k in lstm.BIAS_NAMES},
-        })
+        cell = _zero_cell(m)
         frames = Rng(5).uniform_matrix(6, m, -1.0, 1.0)
-        preds = lstm.run_sequence(cell, frames, warmup=2)
+        preds = lstm.rollout(cell, frames[None], warmup=2)[0]
         assert preds.shape == (5, m)
         assert np.array_equal(preds, np.zeros((5, m)))
         # evaluation MSE equals the mean energy of the scored frames
@@ -171,34 +211,34 @@ class TestRunSequence:
     def test_full_warmup_boundary(self):
         cell = _random_cell(2, seed=6)
         frames = Rng(7).uniform_matrix(5, 2, -1.0, 1.0)
-        preds = lstm.run_sequence(cell, frames, warmup=4)  # W = T-1
+        preds = lstm.rollout(cell, frames[None], warmup=4)[0]  # W = T-1
         # identical to teacher forcing on every step
-        state = lstm.zero_state(2)
+        h = c = np.zeros(2)
         manual = []
         for k in range(4):
-            state = lstm.step(cell, frames[k], state)
-            manual.append(state.h)
-        assert np.array_equal(preds, np.array(manual))
+            h, c = _reference_step(cell, frames[k], h, c)
+            manual.append(h)
+        assert np.max(np.abs(preds - np.array(manual))) < 1e-14
 
     def test_matches_manual_chaining(self):
         cell = _random_cell(3, seed=8)
         frames = Rng(9).uniform_matrix(5, 3, -1.0, 1.0)
-        preds = lstm.run_sequence(cell, frames, warmup=2)
-        state = lstm.zero_state(3)
+        preds = lstm.rollout(cell, frames[None], warmup=2)[0]
+        h = c = np.zeros(3)
         manual = []
         for k in range(4):
             x = frames[k] if k < 2 else manual[k - 1]
-            state = lstm.step(cell, x, state)
-            manual.append(state.h)
-        assert np.array_equal(preds, np.array(manual))
+            h, c = _reference_step(cell, x, h, c)
+            manual.append(h)
+        assert np.max(np.abs(preds - np.array(manual))) < 1e-14
 
     def test_warmup_bounds(self):
         cell = _random_cell(2, seed=10)
         frames = Rng(11).uniform_matrix(4, 2, -1.0, 1.0)
         with pytest.raises(ValueError):
-            lstm.run_sequence(cell, frames, warmup=0)
+            lstm.rollout(cell, frames[None], warmup=0)
         with pytest.raises(ValueError):
-            lstm.run_sequence(cell, frames, warmup=4)
+            lstm.rollout(cell, frames[None], warmup=4)
 
 
 class TestLossAndGrad:
@@ -239,10 +279,7 @@ class TestLossAndGrad:
 
     def test_doubling_frames_quadruples_loss_for_zero_cell(self):
         m = 2
-        cell = lstm.cell_from_params(m, {
-            **{k: np.zeros((m, m)) for k in lstm.WEIGHT_NAMES},
-            **{k: np.zeros(m) for k in lstm.BIAS_NAMES},
-        })
+        cell = _zero_cell(m)
         frames = Rng(16).uniform_matrix(5, m, -0.5, 0.5)
         loss1, _ = lstm.loss_and_grad(cell, frames, warmup=2)
         loss2, _ = lstm.loss_and_grad(cell, 2.0 * frames, warmup=2)
@@ -277,6 +314,15 @@ class TestTrain:
         _, h1 = lstm.train(cell, seqs, sched, warmup=1, seed=25)
         _, h2 = lstm.train(cell, seqs, sched, warmup=1, seed=25)
         assert np.array_equal(h1, h2)
+
+    def test_non_positive_grad_clip_rejected(self):
+        cell = lstm.init_cell(2, seed=26)
+        seqs = Rng(27).uniform_matrix(8, 2, -1, 1).reshape(2, 4, 2)
+        sched = TrainSchedule(epochs=1, batch_size=2, lr0=0.01)
+        for bad in (-1.0, 0.0, float("nan")):
+            with pytest.raises(ValueError, match="grad_clip"):
+                lstm.train(cell, seqs, sched, warmup=2, seed=28,
+                           grad_clip=bad)
 
     def test_grad_clip_smoke(self):
         cell = lstm.init_cell(2, seed=26)
@@ -348,13 +394,13 @@ class TestTrain:
 
 
 class TestRollout:
-    def test_matches_run_sequence_per_sequence(self):
+    def test_matches_reference_step_per_sequence(self):
         cell = _random_cell(3, seed=40)
         seqs = Rng(41).uniform_matrix(4 * 6, 3, -1, 1).reshape(4, 6, 3)
         preds = lstm.rollout(cell, seqs, warmup=2)
         assert preds.shape == (4, 5, 3)
         for k in range(4):
-            expect = lstm.run_sequence(cell, seqs[k], warmup=2)
+            expect = _reference_run(cell, seqs[k], warmup=2)
             assert np.max(np.abs(preds[k] - expect)) < 1e-14
 
     def test_validation(self):
@@ -372,10 +418,7 @@ class TestRollout:
 class TestEvaluate:
     def test_perfect_predictor_on_zero_sequence(self):
         m = 2
-        cell = lstm.cell_from_params(m, {
-            **{k: np.zeros((m, m)) for k in lstm.WEIGHT_NAMES},
-            **{k: np.zeros(m) for k in lstm.BIAS_NAMES},
-        })
+        cell = _zero_cell(m)
         seqs = np.zeros((3, 5, m))
         assert lstm.evaluate_prediction(cell, seqs, seqs, 2, lambda z: z) == 0.0
 
@@ -393,14 +436,3 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             lstm.evaluate_prediction(cell, np.zeros((2, 5, 2)),
                                      np.zeros((3, 5, 4)), 2, lambda z: z)
-
-
-class TestPersistence:
-    def test_cell_round_trip(self, tmp_path):
-        cell = _random_cell(3, seed=33)
-        lstm.save_cell(cell, tmp_path / "cell")
-        loaded = lstm.load_cell(tmp_path / "cell")
-        assert loaded.m == 3
-        for name in lstm.PARAM_NAMES:
-            expect = getattr(cell, name).astype(np.float32).astype(np.float64)
-            assert np.array_equal(getattr(loaded, name), expect)

@@ -26,12 +26,12 @@ class TestComputeBasis:
     def test_connected_graph_first_column_constant(self):
         basis = spectral.compute_basis(graphs.laplacian(graphs.grid_graph(2, 3)), 1)
         assert abs(basis.eigenvalues[0]) < 1e-10
-        assert np.max(np.abs(np.abs(basis.basis[:, 0]) - 1.0 / np.sqrt(6.0))) < 1e-8
+        assert np.max(np.abs(np.abs(basis.a[:, 0]) - 1.0 / np.sqrt(6.0))) < 1e-8
 
     def test_full_basis_orthonormal(self):
         lap = _random_laplacian(Rng(1), 12, 7)
         basis = spectral.compute_basis(lap, 7)
-        assert np.max(np.abs(basis.basis.T @ basis.basis - np.eye(7))) < 1e-8
+        assert np.max(np.abs(basis.a.T @ basis.a - np.eye(7))) < 1e-8
 
     def test_m_out_of_range(self):
         lap = _path_laplacian(4)
@@ -45,63 +45,70 @@ class TestComputeBasis:
         full = spectral.compute_basis(lap, 6)
         narrowed = spectral.truncate(full, 3)
         direct = spectral.compute_basis(lap, 3)
-        assert np.array_equal(narrowed.basis, direct.basis)
+        assert np.array_equal(narrowed.a, direct.a)
         assert np.array_equal(narrowed.eigenvalues, direct.eigenvalues)
+        assert narrowed.a.flags.c_contiguous
         with pytest.raises(ValueError):
             spectral.truncate(narrowed, 4)
+
+    def test_truncate_codec_without_eigenvalues(self):
+        a = Rng(15).uniform_matrix(5, 3, -1.0, 1.0)
+        narrowed = spectral.truncate(spectral.LinearCodec(a), 2)
+        assert np.array_equal(narrowed.a, a[:, :2])
+        assert narrowed.eigenvalues is None
 
 
 class TestEncodeDecode:
     def test_constant_signal_concentrates_on_first_coefficient(self):
         basis = spectral.compute_basis(graphs.laplacian(graphs.grid_graph(3, 3)), 4)
-        coeffs = spectral.encode(basis, np.full(9, 0.5))
+        coeffs = spectral.encode_frames(basis, np.full((1, 9), 0.5))[0]
         assert abs(abs(coeffs[0]) - 0.5 * 3.0) < 1e-10  # +-c sqrt(n)
         assert np.max(np.abs(coeffs[1:])) < 1e-10
 
     def test_eigenvector_maps_to_unit_coefficient(self):
         lap = _random_laplacian(Rng(3), 12, 6)
         basis = spectral.compute_basis(lap, 4)
-        coeffs = spectral.encode(basis, basis.basis[:, 2])
-        expect = np.zeros(4)
-        expect[2] = 1.0
-        assert np.max(np.abs(np.abs(coeffs) - expect)) < 1e-9
+        coeffs = spectral.encode_frames(basis, basis.a.T)  # row k: vector k
+        assert np.max(np.abs(np.abs(coeffs) - np.eye(4))) < 1e-9
 
     def test_parseval_full_basis(self):
         lap = _random_laplacian(Rng(4), 10, 6)
         basis = spectral.compute_basis(lap, 6)
-        x = Rng(5).uniform_matrix(1, 6, -1.0, 1.0)[0]
-        coeffs = spectral.encode(basis, x)
-        assert abs(np.linalg.norm(coeffs) - np.linalg.norm(x)) < 1e-10
+        x = Rng(5).uniform_matrix(3, 6, -1.0, 1.0)
+        coeffs = spectral.encode_frames(basis, x)
+        assert np.max(np.abs(np.linalg.norm(coeffs, axis=1)
+                             - np.linalg.norm(x, axis=1))) < 1e-10
 
     def test_full_round_trip(self):
         lap = _random_laplacian(Rng(6), 10, 5)
         basis = spectral.compute_basis(lap, 5)
-        x = Rng(7).uniform_matrix(1, 5, -1.0, 1.0)[0]
-        back = spectral.decode(basis, spectral.encode(basis, x))
+        x = Rng(7).uniform_matrix(3, 5, -1.0, 1.0)
+        back = spectral.decode_frames(basis, spectral.encode_frames(basis, x))
         assert np.max(np.abs(back - x)) < 1e-10
 
     def test_zero_coefficients_decode_to_zero(self):
         basis = spectral.compute_basis(_path_laplacian(4), 2)
-        assert np.array_equal(spectral.decode(basis, np.zeros(2)), np.zeros(4))
+        assert np.array_equal(spectral.decode_frames(basis, np.zeros((3, 2))),
+                              np.zeros((3, 4)))
 
     def test_orthogonal_complement_round_trips_to_zero(self):
         lap = _random_laplacian(Rng(8), 12, 6)
         full = spectral.compute_basis(lap, 6)
         trunc = spectral.truncate(full, 3)
-        x = full.basis[:, 5]  # orthogonal to the retained span
-        back = spectral.decode(trunc, spectral.encode(trunc, x))
+        x = full.a[:, 3:].T  # orthogonal to the retained span
+        back = spectral.decode_frames(trunc, spectral.encode_frames(trunc, x))
         assert np.max(np.abs(back)) < 1e-10
 
     def test_length_mismatch_errors(self):
         basis = spectral.compute_basis(_path_laplacian(4), 2)
         with pytest.raises(ValueError):
-            spectral.encode(basis, np.zeros(3))
-        with pytest.raises(ValueError):
-            spectral.decode(basis, np.zeros(3))
-        with pytest.raises(ValueError):
             spectral.encode_frames(basis, np.zeros((2, 3)))
         with pytest.raises(ValueError):
             spectral.decode_frames(basis, np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            spectral.encode_frames(basis, np.zeros(4))  # frames are rows
+        with pytest.raises(ValueError):
+            spectral.reconstruction_mse(basis, np.zeros((2, 3)))
 
 
 class TestProjectionProperties:
@@ -118,17 +125,17 @@ class TestProjectionProperties:
     def test_idempotent_round_trip(self):
         lap = _random_laplacian(Rng(10), 12, 6)
         basis = spectral.truncate(spectral.compute_basis(lap, 6), 3)
-        x = Rng(11).uniform_matrix(1, 6, -1.0, 1.0)[0]
-        once = spectral.encode(basis, x)
-        again = spectral.encode(basis, spectral.decode(basis, once))
+        x = Rng(11).uniform_matrix(4, 6, -1.0, 1.0)
+        once = spectral.encode_frames(basis, x)
+        again = spectral.encode_frames(basis,
+                                       spectral.decode_frames(basis, once))
         assert np.max(np.abs(again - once)) < 1e-10
 
     def test_sign_flip_invariance(self):
         lap = _random_laplacian(Rng(12), 12, 6)
         basis = spectral.truncate(spectral.compute_basis(lap, 6), 3)
-        flipped = spectral.SpectralBasis(basis.n, basis.m,
-                                         basis.basis * np.array([1.0, -1.0, 1.0]),
-                                         basis.eigenvalues)
+        flipped = spectral.LinearCodec(basis.a * np.array([1.0, -1.0, 1.0]),
+                                       basis.eigenvalues)
         frames = Rng(13).uniform_matrix(8, 6, -1.0, 1.0)
         a = spectral.reconstruction_mse(basis, frames)
         b = spectral.reconstruction_mse(flipped, frames)
@@ -147,14 +154,19 @@ class TestProjectionProperties:
 
 class TestBasisValidation:
     def test_shape_checks(self):
-        with pytest.raises(ValueError):
-            spectral.SpectralBasis(4, 2, np.zeros((4, 3)), np.zeros(2))
-        with pytest.raises(ValueError):
-            spectral.SpectralBasis(4, 2, np.zeros((4, 2)), np.zeros(3))
-        with pytest.raises(ValueError):
-            spectral.SpectralBasis(4, 0, np.zeros((4, 0)), np.zeros(0))
+        codec = spectral.LinearCodec(np.zeros((4, 2)), np.zeros(2))
+        assert (codec.n, codec.m) == (4, 2)
+        with pytest.raises(ValueError, match="eigenvalues length"):
+            spectral.LinearCodec(np.zeros((4, 3)), np.zeros(2))
+        with pytest.raises(ValueError, match="out of range"):
+            spectral.LinearCodec(np.zeros((4, 0)))
+        with pytest.raises(ValueError, match="out of range"):
+            spectral.LinearCodec(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="2-D"):
+            spectral.LinearCodec(np.zeros(4))
+        with pytest.raises(ValueError, match="codec matrix contains non-finite"):
+            spectral.LinearCodec(np.array([[1.0], [np.nan]]))
 
     def test_eigenvalues_must_ascend(self):
         with pytest.raises(ValueError):
-            spectral.SpectralBasis(3, 2, np.zeros((3, 2)),
-                                   np.array([1.0, 0.5]))
+            spectral.LinearCodec(np.zeros((3, 2)), np.array([1.0, 0.5]))
