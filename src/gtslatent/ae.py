@@ -77,16 +77,13 @@ def train(codec: LinearCodec, frames, schedule: TrainSchedule,
     if x.shape[1] != codec.n:
         raise ValueError(f"frame length {x.shape[1]} != n={codec.n}")
 
-    rng = Rng(seed)
     a = codec.a.copy()
     state = adam_init(a.shape)
     num = x.shape[0]
     history = np.zeros(schedule.epochs)
-    for epoch in range(schedule.epochs):
+    orders = Rng(seed).permutations(num, schedule.epochs)
+    for epoch, order in enumerate(orders):
         lr, wd = schedule_at(schedule, epoch)
-        order = list(range(num))
-        rng.shuffle(order)
-        order = np.array(order)
         total = 0.0
         for start in range(0, num, schedule.batch_size):
             chunk = order[start:start + schedule.batch_size]

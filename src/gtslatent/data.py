@@ -327,8 +327,7 @@ def save_csv_series(path, series, header=None) -> None:
         writer = csv.writer(fh)
         if header is not None:
             writer.writerow(header)
-        for row in s:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows(map(repr, row.tolist()) for row in s)
 
 
 def sequences_from_series(series, frames_per_sequence: int) -> SequenceDataset:

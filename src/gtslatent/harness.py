@@ -230,24 +230,28 @@ def build_dataset(config: ExperimentConfig) -> data.SequenceDataset:
         images = _build_images(block.get("source", {}), block, seed)
         return data.generate_moving_crop_dataset(
             images,
-            crop=int(block.get("crop", 45)),
-            frames_per_sequence=int(block.get("frames", 20)),
-            count=int(block.get("sequences", images.count)),
+            crop=_as_int(block.get("crop", 45), "dataset crop"),
+            frames_per_sequence=_as_int(block.get("frames", 20),
+                                        "dataset frames"),
+            count=_as_int(block.get("sequences", images.count),
+                          "dataset sequences"),
             seed=seed,
         )
     if kind == "moving_sprite":
         return data.generate_moving_sprite_dataset(
-            canvas=int(block.get("canvas", 64)),
-            sprite=int(block.get("sprite", 12)),
-            frames_per_sequence=int(block.get("frames", 20)),
-            count=int(block.get("sequences", 100)),
+            canvas=_as_int(block.get("canvas", 64), "dataset canvas"),
+            sprite=_as_int(block.get("sprite", 12), "dataset sprite"),
+            frames_per_sequence=_as_int(block.get("frames", 20),
+                                        "dataset frames"),
+            count=_as_int(block.get("sequences", 100), "dataset sequences"),
             seed=seed,
         )
     if kind == "file":
         return load_dataset(block["path"], block.get("meta"))
     if kind == "csv":
         series = data.load_csv_series(block["path"])
-        return data.sequences_from_series(series, int(block.get("frames", 20)))
+        return data.sequences_from_series(
+            series, _as_int(block.get("frames", 20), "dataset frames"))
     raise ValueError(f"unknown dataset type {kind!r}")
 
 
@@ -257,13 +261,17 @@ def _build_images(source: dict, block: dict, seed: int) -> data.ImageSet:
         return data.load_stl10(source["path"])
     if kind == "textured":
         return data.generate_textured_images(
-            count=int(source.get("count", block.get("sequences", 100))),
-            height=int(source.get("height", 96)),
-            width=int(source.get("width", 96)),
+            count=_as_int(source.get("count", block.get("sequences", 100)),
+                          "dataset source count" if "count" in source
+                          else "dataset sequences"),
+            height=_as_int(source.get("height", 96), "dataset source height"),
+            width=_as_int(source.get("width", 96), "dataset source width"),
             seed=derive_seed(seed, 0),
-            waves=int(source.get("waves", 6)),
-            min_cycles=float(source.get("min_cycles", 1.5)),
-            max_cycles=float(source.get("max_cycles", 4.0)),
+            waves=_as_int(source.get("waves", 6), "dataset source waves"),
+            min_cycles=_as_float(source.get("min_cycles", 1.5),
+                                 "dataset source min_cycles"),
+            max_cycles=_as_float(source.get("max_cycles", 4.0),
+                                 "dataset source max_cycles"),
         )
     raise ValueError(f"unknown image source type {kind!r}")
 

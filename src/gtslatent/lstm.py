@@ -261,7 +261,6 @@ def train(cell: LstmCell, sequences, schedule: TrainSchedule, warmup: int,
         # a negative scale would turn every step into gradient ascent
         raise ValueError(f"grad_clip must be positive, got {grad_clip!r}")
 
-    rng = Rng(seed)
     initial = cell.params()
     pflat = np.concatenate([arr.ravel() for arr in initial.values()])
     gflat = np.zeros_like(pflat)
@@ -270,11 +269,9 @@ def train(cell: LstmCell, sequences, schedule: TrainSchedule, warmup: int,
     state = adam_init(pflat.shape)
     num = s.shape[0]
     history = np.zeros(schedule.epochs)
-    for epoch in range(schedule.epochs):
+    orders = Rng(seed).permutations(num, schedule.epochs)
+    for epoch, order in enumerate(orders):
         lr, wd = schedule_at(schedule, epoch)
-        order = list(range(num))
-        rng.shuffle(order)
-        order = np.array(order)
         total = 0.0
         for start in range(0, num, schedule.batch_size):
             chunk = order[start:start + schedule.batch_size]

@@ -29,6 +29,21 @@ def _tiny_config(**overrides):
     return cfg
 
 
+def _crop_block(count=10, height=12, width=12, waves=6, min_cycles=1.5,
+                max_cycles=4.0, **fields):
+    """The tiny moving-crop dataset block with some fields replaced."""
+    source = {"type": "textured", "count": count, "height": height,
+              "width": width, "waves": waves, "min_cycles": min_cycles,
+              "max_cycles": max_cycles}
+    return {"type": "moving_crop", "source": source, "crop": 6, "frames": 6,
+            "sequences": 10, **fields}
+
+
+def _sprite_block(**fields):
+    return {"type": "moving_sprite", "canvas": 8, "sprite": 3, "frames": 4,
+            "sequences": 6, **fields}
+
+
 def _schedule(**overrides):
     return {"epochs": 3, "batch_size": 3, "lr0": 0.001, **overrides}
 
@@ -87,6 +102,26 @@ class TestConfig:
     def test_malformed_integers_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
             harness.config_from_dict(_tiny_config(**{key: value}))
+
+    @pytest.mark.parametrize("block, label", [
+        (_crop_block(crop=6.9), "dataset crop"),
+        (_crop_block(frames=True), "dataset frames"),
+        (_crop_block(sequences="10"), "dataset sequences"),
+        ({**_crop_block(sequences="10"), "source": {"type": "textured"}},
+         "dataset sequences"),  # the source count defaults to it
+        (_sprite_block(canvas=16.0), "dataset canvas"),
+        (_sprite_block(sprite="6"), "dataset sprite"),
+        (_crop_block(count=10.0), "dataset source count"),
+        (_crop_block(height="12"), "dataset source height"),
+        (_crop_block(width=None), "dataset source width"),
+        (_crop_block(waves=2.5), "dataset source waves"),
+        (_crop_block(min_cycles="1.5"), "dataset source min_cycles"),
+        (_crop_block(max_cycles=True), "dataset source max_cycles"),
+    ])
+    def test_malformed_dataset_fields_rejected(self, block, label):
+        config = harness.config_from_dict(_tiny_config(dataset=block))
+        with pytest.raises(ValueError, match=f"{label} must be"):
+            harness.build_dataset(config)
 
     @pytest.mark.parametrize("grad_clip", [-1.0, 0.0, float("nan")])
     def test_non_positive_grad_clip_rejected(self, grad_clip):
@@ -585,6 +620,7 @@ class TestCli:
         ("methods", "ae"), ("methods", 5), ("dataset", 3), ("ae_schedule", 3),
         ("ae_schedule", _schedule(epochs=None)), ("train_fraction", None),
         ("dump_predictions", "no"), ("grad_clip", -1.0),
+        ("dataset", _crop_block(crop=6.9)), ("dataset", _crop_block(waves=2.5)),
     ])
     def test_malformed_types_exit_nonzero(self, tmp_path, capsys, key, value):
         cfg_path = self._write_config(tmp_path, _tiny_config(**{key: value}))
