@@ -281,53 +281,52 @@ def load_csv_series(path) -> np.ndarray:
     Rows are timepoints, columns are nodes; blank lines are skipped.  A
     single non-numeric first row is treated as a header and skipped.
     Ragged or non-numeric rows raise with their 1-based line number in
-    the file.
+    the file; a ragged row raises as ragged even if it is non-numeric
+    too.  Cells parse as ``float()`` parses them.
+
+    Memory: each row is converted to float64 as soon as it is read, so
+    only one row of cell strings is alive at a time and the peak is
+    about twice the result (the row arrays, then the stacked matrix).
     """
+    rows, header = [], False
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        rows, lines = [], []
         for row in reader:
-            if row:
-                rows.append(row)
-                lines.append(reader.line_num)
+            if not row:
+                continue
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(
+                    f"{path}: row {reader.line_num} has {len(row)} cells, "
+                    f"expected {len(rows[0])}"
+                )
+            try:
+                rows.append(np.array(row, dtype=np.float64))
+            except ValueError as exc:
+                if rows or header:
+                    raise ValueError(f"{path}: non-numeric cell in row "
+                                     f"{reader.line_num}") from exc
+                header = True
     if not rows:
-        raise ValueError(f"{path}: empty CSV")
-
-    start = 0
-    try:
-        [float(cell) for cell in rows[0]]
-    except ValueError:
-        start = 1
-        if len(rows) == 1:
-            raise ValueError(f"{path}: only a header row, no data")
-
-    width = len(rows[start])
-    data = np.empty((len(rows) - start, width))
-    for ridx in range(start, len(rows)):
-        row = rows[ridx]
-        if len(row) != width:
-            raise ValueError(
-                f"{path}: row {lines[ridx]} has {len(row)} cells, "
-                f"expected {width}"
-            )
-        try:
-            data[ridx - start] = [float(cell) for cell in row]
-        except ValueError as exc:
-            raise ValueError(
-                f"{path}: non-numeric cell in row {lines[ridx]}") from exc
+        raise ValueError(f"{path}: only a header row, no data" if header
+                         else f"{path}: empty CSV")
+    data = np.stack(rows)
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: contains non-finite values")
     return data
 
 
 def save_csv_series(path, series, header=None) -> None:
-    """Write a (timepoints, nodes) matrix as CSV with full float precision."""
+    """Write a (timepoints, nodes) matrix as CSV with full float precision.
+
+    The bytes are those of ``csv.writer`` (``\\r\\n`` line ends): a
+    ``repr`` float never needs quoting, so data rows are joined
+    directly, one row of Python floats at a time.
+    """
     s = linalg.as_matrix(series, "series")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
         if header is not None:
-            writer.writerow(header)
-        writer.writerows(map(repr, row.tolist()) for row in s)
+            csv.writer(fh).writerow(header)
+        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in s)
 
 
 def sequences_from_series(series, frames_per_sequence: int) -> SequenceDataset:

@@ -16,11 +16,12 @@ computes each spectral method's full basis once, and does all
 codec-cache reads and writes.  The (method, m) cells - fit or truncate
 a codec, score it and, for prediction, train and score an FC-LSTM -
 then run in ``fork``-ed worker processes, one per CPU this process may
-use (``os.sched_getaffinity``), capped at the number of cells, largest
-m first.  With one CPU (e.g. under ``taskset -c 0``) or without
-``fork`` they run one after another in this process.  Each cell draws
-only from its own seeded streams, so both paths give bit-identical
-reports.
+use (``os.sched_getaffinity``), capped at the number of cells.  They
+are submitted costliest first: largest m first and, at equal m, the AE
+cells that must train their codec first.  With one CPU (e.g. under
+``taskset -c 0``) or without ``fork`` they run one after another in
+this process.  Each cell draws only from its own seeded streams, so
+both paths give bit-identical reports.
 """
 
 from __future__ import annotations
@@ -716,6 +717,20 @@ def _fork_pool(inputs: _CellInputs, cells: int):
                                initializer=_init_worker, initargs=(inputs,))
 
 
+def _submission_order(inputs: _CellInputs, cells: list) -> list:
+    """Cell indices, costliest first (Graham's LPT rule).
+
+    Largest m first; at equal m, the AE cells that must train their
+    codec (no cached matrix) go before the rest, which only truncate a
+    basis or read one.  Ties keep cell order.
+    """
+    def cost_rank(i):
+        method, m = cells[i]
+        trains = method == "ae" and inputs.ae_cached.get(m) is None
+        return -m, not trains
+    return sorted(range(len(cells)), key=cost_rank)
+
+
 def _run_cells(inputs: _CellInputs, cells: list) -> list:
     """Run every (method, m) cell; return the ReportCells in cell order.
 
@@ -729,11 +744,8 @@ def _run_cells(inputs: _CellInputs, cells: list) -> list:
         if pool is None:
             results = (_run_cell(inputs, method, m) for method, m in cells)
         else:
-            # largest m first (Graham's LPT rule): the costliest cells
-            # start at once rather than last
-            by_size = sorted(range(len(cells)), key=lambda i: -cells[i][1])
             futures = {i: pool.submit(_worker_cell, *cells[i])
-                       for i in by_size}
+                       for i in _submission_order(inputs, cells)}
             results = (futures[i].result() for i in range(len(cells)))
         n = inputs.train_frames.shape[1]
         report_cells = []

@@ -181,10 +181,11 @@ def _backward(cell: LstmCell, warmup: int, preds: np.ndarray, cache,
         grads["b_io"] += so
         grads["b_ho"] += so
 
-        dx = dai @ cell.w_ii + daf @ cell.w_if + dag @ cell.w_ig + dao @ cell.w_io
         dh_carry = (dai @ cell.w_hi + daf @ cell.w_hf
                     + dag @ cell.w_hg + dao @ cell.w_ho)
         if k >= warmup:  # input was preds[:, k-1, :]
+            dx = (dai @ cell.w_ii + daf @ cell.w_if
+                  + dag @ cell.w_ig + dao @ cell.w_io)
             dh_carry = dh_carry + dx
 
 

@@ -1,5 +1,8 @@
+import csv
+import io
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +157,49 @@ class TestMovingSprite:
             data.generate_moving_sprite_dataset(8, 9, 5, 2, seed=1)
 
 
+def _reference_load_csv(path):
+    """The list-of-strings loader that ``load_csv_series`` streams."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        rows, lines = [], []
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
+    if not rows:
+        raise ValueError(f"{path}: empty CSV")
+    start = 0
+    try:
+        [float(cell) for cell in rows[0]]
+    except ValueError:
+        start = 1
+        if len(rows) == 1:
+            raise ValueError(f"{path}: only a header row, no data")
+    width = len(rows[start])
+    out = np.empty((len(rows) - start, width))
+    for ridx in range(start, len(rows)):
+        row = rows[ridx]
+        if len(row) != width:
+            raise ValueError(f"{path}: row {lines[ridx]} has {len(row)} "
+                             f"cells, expected {width}")
+        try:
+            out[ridx - start] = [float(cell) for cell in row]
+        except ValueError:
+            raise ValueError(f"{path}: non-numeric cell in row {lines[ridx]}")
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{path}: contains non-finite values")
+    return out
+
+
+def _csv_writer_bytes(series, header=None):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    if header is not None:
+        writer.writerow(header)
+    writer.writerows([repr(v) for v in row] for row in series.tolist())
+    return buf.getvalue().encode()
+
+
 class TestCsv:
     def test_basic_parse(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -195,6 +241,79 @@ class TestCsv:
         series = Rng(17).uniform_matrix(6, 4, -2.0, 2.0)
         data.save_csv_series(path, series)
         assert np.array_equal(data.load_csv_series(path), series)
+
+    @pytest.mark.parametrize("text", [
+        b'"1","2.5"\n"-3",4\n',
+        b"1_0,2\n3,4_000.5\n",
+        b" 1 ,2 \n\t3,  4e-2\n",
+        b"1,2\r\n3,4\r\n",
+        b"\n\n1,2\n\n\n3,4\n\n",
+        b"node_a,node_b\n1,2\n3,4\n",
+        b"a\n1,2,3\n",
+        b"1,2\n   \n3,4\n",
+        b"   \n1,2\n",
+        b"a,b\n   \n1,2\n",
+        b"1,nan\n2,3\n",
+        b"1,2\n-inf,3\n",
+        b"1e400,2\n",
+        b"-0,+.5\n1.,\xef\xbc\x91\xef\xbc\x92\n",
+        b"0x10,1\n",
+        b"1,2\n,3\n",
+        b"1,2\nx\n",
+        b"1,2\n3,x\n4\n",
+        b"1,2\n3\n4,x\n",
+        b"a,b\nc,d\n",
+        b"a,b\n",
+        b"\n\n",
+        b"",
+    ], ids=["quoted", "underscore", "padded", "crlf", "blank-lines",
+            "header", "header-of-other-width", "whitespace-line",
+            "whitespace-first-line", "whitespace-after-header", "nan",
+            "inf", "overflow", "signs-and-full-width", "hex", "empty-cell",
+            "ragged-and-non-numeric", "non-numeric-before-ragged",
+            "ragged-before-non-numeric", "two-headers", "header-only",
+            "blank-only", "empty"])
+    def test_matches_list_of_strings_reference(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text)
+        try:
+            expected = _reference_load_csv(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as excinfo:
+                data.load_csv_series(path)
+            assert str(excinfo.value) == str(exc)
+        else:
+            got = data.load_csv_series(path)
+            assert got.dtype == np.float64
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()  # -0.0 too
+
+    def test_load_peak_memory_stays_near_result_size(self, tmp_path):
+        path = tmp_path / "t.csv"
+        series = Rng(19).uniform_matrix(2000, 100, -1.0, 1.0)
+        data.save_csv_series(path, series)
+        tracemalloc.start()
+        try:
+            loaded = data.load_csv_series(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded, series)
+        # a list of Python strings per cell peaks near 11x nbytes
+        assert peak < 3 * loaded.nbytes
+
+    @pytest.mark.parametrize("header", [None, ["node a", "b,c", 'q"d']])
+    def test_writer_bytes_equal_csv_writer(self, tmp_path, header):
+        series = Rng(20).uniform_matrix(7, 3, -2.0, 2.0)
+        series[0] = [-0.0, 1e-300, 1.5e300]
+        series[1] = [0.1, -7.0, 2.0 ** -1074]
+        if header is None:
+            path = tmp_path / "t.csv"
+            data.save_csv_series(path, series)
+        else:
+            path = tmp_path / "h.csv"
+            data.save_csv_series(path, series, header=header)
+        assert path.read_bytes() == _csv_writer_bytes(series, header)
 
     def test_sequences_from_series_chops(self):
         series = Rng(18).uniform_matrix(11, 3, -1.0, 1.0)

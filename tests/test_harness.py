@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -454,6 +455,37 @@ class TestCellWorkers:
             assert excinfo.type is np.linalg.LinAlgError
             assert str(excinfo.value) == "gft-grid m=4 failed"
             assert multiprocessing.active_children() == []
+
+
+    def test_training_ae_cells_submitted_first_at_equal_m(self, tmp_path,
+                                                           monkeypatch):
+        submitted = []
+
+        class RecordingPool:  # runs each cell at once, in this process
+            def __init__(self, inputs):
+                self.inputs = inputs
+
+            def submit(self, fn, method, m):
+                submitted.append((method, m))
+                future = concurrent.futures.Future()
+                future.set_result(harness._run_cell(self.inputs, method, m))
+                return future
+
+            def shutdown(self, wait, cancel_futures):
+                pass
+
+        monkeypatch.setattr(harness, "_fork_pool",
+                            lambda inputs, cells: RecordingPool(inputs))
+        config = harness.config_from_dict(_tiny_config(
+            methods=["gft-grid", "ae", "gft-geo"], latent_dims=[4, 9],
+            codec_cache_dir=str(tmp_path / "cache")))
+        harness.run_reconstruction_experiment(config)  # cold: AE trains
+        assert submitted == [("ae", 9), ("gft-grid", 9), ("gft-geo", 9),
+                             ("ae", 4), ("gft-grid", 4), ("gft-geo", 4)]
+        submitted.clear()
+        harness.run_reconstruction_experiment(config)  # warm: AE is cached
+        assert submitted == [("gft-grid", 9), ("ae", 9), ("gft-geo", 9),
+                             ("gft-grid", 4), ("ae", 4), ("gft-geo", 4)]
 
 
 class TestEmitReport:
