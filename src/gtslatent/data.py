@@ -282,14 +282,16 @@ def load_csv_series(path) -> np.ndarray:
     single non-numeric first row is treated as a header and skipped.
     Ragged or non-numeric rows raise with their 1-based line number in
     the file; a ragged row raises as ragged even if it is non-numeric
-    too.  Cells parse as ``float()`` parses them.
+    too.  Cells parse as ``float()`` parses them.  The file is read as
+    UTF-8; a leading byte-order mark, as spreadsheet exports often
+    write, is dropped.
 
     Memory: each row is converted to float64 as soon as it is read, so
     only one row of cell strings is alive at a time and the peak is
     about twice the result (the row arrays, then the stacked matrix).
     """
     rows, header = [], False
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for row in reader:
             if not row:
@@ -320,10 +322,11 @@ def save_csv_series(path, series, header=None) -> None:
 
     The bytes are those of ``csv.writer`` (``\\r\\n`` line ends): a
     ``repr`` float never needs quoting, so data rows are joined
-    directly, one row of Python floats at a time.
+    directly, one row of Python floats at a time.  The file is UTF-8,
+    as :func:`load_csv_series` reads it.
     """
     s = linalg.as_matrix(series, "series")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         if header is not None:
             csv.writer(fh).writerow(header)
         fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in s)

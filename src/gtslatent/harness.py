@@ -27,6 +27,7 @@ both paths give bit-identical reports.
 from __future__ import annotations
 
 import hashlib
+import html
 import json
 import numbers
 import operator
@@ -35,7 +36,6 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -798,6 +798,12 @@ def emit_report(report: Report, out_dir) -> dict:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
+def _escape(text: str) -> str:
+    # `&`, `<` and `>` only, as SVG text content needs; html is a far
+    # cheaper import than xml.sax.saxutils, which loads urllib.request
+    return html.escape(text, quote=False)
+
+
 def emit_plot(curves: dict, path, xlabel: str = "latent dimension m",
               ylabel: str = "MSE", title: str | None = None) -> None:
     """Render per-method (x, y) series as a standalone SVG line chart.
@@ -841,13 +847,13 @@ def emit_plot(curves: dict, path, xlabel: str = "latent dimension m",
     ]
     if title:
         parts.append(f'<text x="{left + plot_w / 2}" y="{top - 10}" '
-                     f'text-anchor="middle" font-size="14">{escape(title)}</text>')
+                     f'text-anchor="middle" font-size="14">{_escape(title)}</text>')
     # axis labels and end-point tick labels
     parts.append(f'<text x="{left + plot_w / 2}" y="{height - 15}" '
-                 f'text-anchor="middle" font-size="13">{escape(xlabel)}</text>')
+                 f'text-anchor="middle" font-size="13">{_escape(xlabel)}</text>')
     parts.append(f'<text x="18" y="{top + plot_h / 2}" text-anchor="middle" '
                  f'font-size="13" transform="rotate(-90 18 {top + plot_h / 2})">'
-                 f'{escape(ylabel)}</text>')
+                 f'{_escape(ylabel)}</text>')
     for value, xpos in ((x_lo, left), (x_hi, left + plot_w)):
         parts.append(f'<text x="{xpos}" y="{top + plot_h + 18}" '
                      f'text-anchor="middle" font-size="11">{value:.6g}</text>')
@@ -866,7 +872,7 @@ def emit_plot(curves: dict, path, xlabel: str = "latent dimension m",
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" '
                      f'y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{lx + 28}" y="{ly}" font-size="12">'
-                     f'{escape(str(name))}</text>')
+                     f'{_escape(str(name))}</text>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
 

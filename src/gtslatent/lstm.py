@@ -12,6 +12,29 @@ Gradients are exact backpropagation through time through that forward
 graph, including through the fed-back predictions (an input that was a
 previous prediction routes its gradient back into the step that
 produced it).
+
+The kernel runs on gate blocks.  The 16 parameters sit back to back in
+one flat buffer, in ``PARAM_NAMES`` order, so the buffer already holds
+the input weights as a (4, m, m) stack in i, f, g, o order, then the
+recurrent weights, then the two bias stacks (:func:`_blocks`).  Each
+step fills one (4, B, m) block of gate pre-activations with one stacked
+matmul per weight stack and one add per bias, and runs one sigmoid over
+the block (the g gate's tanh then overwrites its part); backward builds
+the gate gradients as one block the same way.  A stacked matmul still
+runs one GEMM per gate, and every elementwise op is the per-gate
+kernel's op on the same operands, so all results are bitwise those of
+the per-gate kernel.  Fusing further changes results or costs time:
+
+* one (B, m) x (m, 4m) forward GEMM rounds differently from four
+  per-gate GEMMs on OpenBLAS (seen at m=64, B=6), and so does one K=4m
+  GEMM for the input and recurrent gradients at every m tried, which
+  therefore stay four GEMMs summed in gate order;
+* one (4m, m) weight-gradient GEMM per step is bitwise, but adding its
+  (4, m, m) temporary runs out of cache at m=256, so those GEMMs stay
+  per gate;
+* the block is gate-major, not (B, 4m): at m=1 a (B, 4m) block turns
+  each weight gradient from a dot product into a matrix-vector product
+  and changes the order of the bias sums, and both round differently.
 """
 
 from __future__ import annotations
@@ -101,15 +124,39 @@ def _check_rollout_args(num_frames: int, warmup: int):
         )
 
 
-def _forward(cell: LstmCell, batch: np.ndarray, warmup: int,
+def _flatten(cell: LstmCell) -> np.ndarray:
+    """The 16 parameters back to back, in ``PARAM_NAMES`` order."""
+    return np.concatenate([arr.ravel() for arr in cell.params().values()])
+
+
+def _blocks(flat: np.ndarray, m: int):
+    """(W_x, W_h, b_x, b_h) gate-major views of a flat parameter buffer.
+
+    ``flat`` holds the 16 tensors in ``PARAM_NAMES`` order (see
+    :func:`_flatten`), so ``w_ii..w_io`` are the (4, m, m) stack
+    ``W_x``, ``w_hi..w_ho`` the stack ``W_h``, and the biases the
+    (4, 1, m) stacks ``b_x`` and ``b_h``, each in i, f, g, o order.
+    """
+    w = 4 * m * m
+    return (flat[:w].reshape(4, m, m), flat[w:2 * w].reshape(4, m, m),
+            flat[2 * w:2 * w + 4 * m].reshape(4, 1, m),
+            flat[2 * w + 4 * m:].reshape(4, 1, m))
+
+
+def _forward(flat: np.ndarray, batch: np.ndarray, warmup: int,
              keep_cache: bool):
-    """Batched rollout over (B, T, m) sequences.
+    """Batched rollout over (B, T, m) sequences of the cell in ``flat``.
 
     Returns (predictions, cache); predictions has shape (B, T-1, m).
-    The cache stores everything the backward pass needs, one tuple per
-    step.
+    The cache stores everything the backward pass needs, one tuple
+    ``(x, h, c, a, tanh(c_new))`` per step, where ``a`` is the
+    (4, B, m) block of activated gates.
     """
     bsz, t_total, m = batch.shape
+    w_x, w_h, b_x, b_h = _blocks(flat, m)
+    w_xt, w_ht = w_x.transpose(0, 2, 1), w_h.transpose(0, 2, 1)
+    z = np.empty((4, bsz, m))        # gate pre-activations
+    zh = np.empty_like(z)            # their recurrent part
     h = np.zeros((bsz, m))
     c = np.zeros((bsz, m))
     preds = np.empty((bsz, t_total - 1, m))
@@ -117,80 +164,79 @@ def _forward(cell: LstmCell, batch: np.ndarray, warmup: int,
     with np.errstate(over="ignore"):  # see _sigmoid
         for k in range(t_total - 1):
             x = batch[:, k, :] if k < warmup else preds[:, k - 1, :]
-            i = _sigmoid(x @ cell.w_ii.T + cell.b_ii + h @ cell.w_hi.T
-                         + cell.b_hi)
-            f = _sigmoid(x @ cell.w_if.T + cell.b_if + h @ cell.w_hf.T
-                         + cell.b_hf)
-            g = np.tanh(x @ cell.w_ig.T + cell.b_ig + h @ cell.w_hg.T
-                        + cell.b_hg)
-            o = _sigmoid(x @ cell.w_io.T + cell.b_io + h @ cell.w_ho.T
-                         + cell.b_ho)
+            np.matmul(x, w_xt, out=z)
+            np.matmul(h, w_ht, out=zh)
+            z += b_x
+            z += zh
+            z += b_h
+            a = _sigmoid(z)
+            np.tanh(z[2], out=a[2])
+            i, f, g, o = a
             c_new = f * c + i * g
             tc = np.tanh(c_new)
             h_new = o * tc
             if keep_cache:
-                cache.append((x, h, c, i, f, g, o, tc))
+                cache.append((x, h, c, a, tc))
             h, c = h_new, c_new
             preds[:, k, :] = h_new
     return preds, cache
 
 
-def _backward(cell: LstmCell, warmup: int, preds: np.ndarray, cache,
-              dpreds: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+def _backward(flat: np.ndarray, warmup: int, preds: np.ndarray, cache,
+              dpreds: np.ndarray, gflat: np.ndarray) -> None:
     """Exact BPTT through the forward graph of :func:`_forward`.
 
     ``dpreds`` is the loss gradient w.r.t. each prediction.  Where a
     prediction was fed back as the next input, its gradient receives
     the input path on top of the recurrent path.  The parameter
-    gradients are added into ``grads`` (one array per parameter name),
-    so pass zeroed arrays to get the gradient itself.
+    gradients are added into ``gflat``, laid out like ``flat``, so pass
+    a zeroed buffer to get the gradient itself.
     """
-    steps = preds.shape[1]
-    dh_carry = np.zeros_like(preds[:, 0, :])
+    bsz, steps, m = preds.shape
+    w_x, w_h, _, _ = _blocks(flat, m)
+    gw_x, gw_h, gb_x, gb_h = _blocks(gflat, m)
+    dgate = np.empty((4, bsz, m))    # loss gradient of the gates
+    d = np.empty_like(dgate)         # ... and of their pre-activations
+    di, df, dg, do = dgate
+    dag = d[2]
+    # per gate: one (4m, m) weight-gradient GEMM makes a (4, m, m)
+    # temporary, and adding it runs out of cache at m=256
+    wgrads = [(gw_x[k], gw_h[k], d[k].T) for k in range(4)]
+    dh_carry = np.zeros((bsz, m))
     dc_carry = np.zeros_like(dh_carry)
     for k in reversed(range(steps)):
-        x, h_prev, c_prev, i, f, g, o, tc = cache[k]
+        x, h_prev, c_prev, a, tc = cache[k]
+        i, f, g, o = a
         dh = dpreds[:, k, :] + dh_carry
-        do = dh * tc
+        np.multiply(dh, tc, out=do)
         dc = dc_carry + dh * o * (1.0 - tc * tc)
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
+        np.multiply(dc, g, out=di)
+        np.multiply(dc, i, out=dg)
+        np.multiply(dc, c_prev, out=df)
         dc_carry = dc * f
 
-        dai = di * i * (1.0 - i)
-        daf = df * f * (1.0 - f)
-        dag = dg * (1.0 - g * g)
-        dao = do * o * (1.0 - o)
+        # sigmoid derivative over the whole block, then the g gate's
+        # tanh derivative over its part
+        np.multiply(dgate, a, out=d)
+        d *= 1.0 - a
+        np.multiply(dg, 1.0 - g * g, out=dag)
 
-        grads["w_ii"] += dai.T @ x
-        grads["w_if"] += daf.T @ x
-        grads["w_ig"] += dag.T @ x
-        grads["w_io"] += dao.T @ x
-        grads["w_hi"] += dai.T @ h_prev
-        grads["w_hf"] += daf.T @ h_prev
-        grads["w_hg"] += dag.T @ h_prev
-        grads["w_ho"] += dao.T @ h_prev
-        si, sf, sg, so = dai.sum(0), daf.sum(0), dag.sum(0), dao.sum(0)
-        grads["b_ii"] += si
-        grads["b_hi"] += si
-        grads["b_if"] += sf
-        grads["b_hf"] += sf
-        grads["b_ig"] += sg
-        grads["b_hg"] += sg
-        grads["b_io"] += so
-        grads["b_ho"] += so
+        for gw_xg, gw_hg, d_gt in wgrads:
+            gw_xg += d_gt @ x
+            gw_hg += d_gt @ h_prev
+        s = d.sum(1, keepdims=True)
+        gb_x += s
+        gb_h += s
 
-        dh_carry = (dai @ cell.w_hi + daf @ cell.w_hf
-                    + dag @ cell.w_hg + dao @ cell.w_ho)
+        p = np.matmul(d, w_h)
+        dh_carry = p[0] + p[1] + p[2] + p[3]
         if k >= warmup:  # input was preds[:, k-1, :]
-            dx = (dai @ cell.w_ii + daf @ cell.w_if
-                  + dag @ cell.w_ig + dao @ cell.w_io)
-            dh_carry = dh_carry + dx
+            p = np.matmul(d, w_x)  # dx, summed before it joins dh_carry
+            dh_carry = dh_carry + (p[0] + p[1] + p[2] + p[3])
 
 
-def _batch_loss(cell: LstmCell, batch: np.ndarray, warmup: int):
-    preds, cache = _forward(cell, batch, warmup, keep_cache=True)
+def _batch_loss(flat: np.ndarray, batch: np.ndarray, warmup: int):
+    preds, cache = _forward(flat, batch, warmup, keep_cache=True)
     targets = batch[:, 1:, :]
     diff = preds - targets
     loss = float(np.mean(diff * diff))
@@ -208,10 +254,11 @@ def loss_and_grad(cell: LstmCell, frames, warmup: int):
     _check_rollout_args(f.shape[0], warmup)
     if f.shape[1] != cell.m:
         raise ValueError(f"frame length {f.shape[1]} != m={cell.m}")
-    loss, preds, cache, dpreds = _batch_loss(cell, f[None, :, :], warmup)
-    grads = {name: np.zeros_like(arr) for name, arr in cell.params().items()}
-    _backward(cell, warmup, preds, cache, dpreds, grads)
-    return loss, grads
+    flat = _flatten(cell)
+    loss, preds, cache, dpreds = _batch_loss(flat, f[None, :, :], warmup)
+    gflat = np.zeros_like(flat)
+    _backward(flat, warmup, preds, cache, dpreds, gflat)
+    return loss, _views(gflat, cell.params())
 
 
 def _views(flat: np.ndarray, like: dict) -> dict[str, np.ndarray]:
@@ -243,10 +290,10 @@ def train(cell: LstmCell, sequences, schedule: TrainSchedule, warmup: int,
     default.  Returns the trained cell and per-epoch mean training loss.
 
     The sequences are validated once, on entry.  The 16 parameters and
-    their gradients live as views in two flat buffers; the working cell
-    is built and validated once, over the parameter views.  Each batch
-    zeroes the gradient buffer, accumulates into it, and makes one Adam
-    step over the whole parameter buffer.  A step that leaves a
+    their gradients live as views in two flat buffers, which the kernel
+    reads and writes directly.  Each batch zeroes the gradient buffer,
+    accumulates into it, and makes one Adam step over the whole
+    parameter buffer.  A step that leaves a
     non-finite entry raises the ``ValueError`` that building the cell
     would.  The returned cell holds copies of the parameters.
     """
@@ -263,10 +310,9 @@ def train(cell: LstmCell, sequences, schedule: TrainSchedule, warmup: int,
         raise ValueError(f"grad_clip must be positive, got {grad_clip!r}")
 
     initial = cell.params()
-    pflat = np.concatenate([arr.ravel() for arr in initial.values()])
+    pflat = _flatten(cell)
     gflat = np.zeros_like(pflat)
     params, grads = _views(pflat, initial), _views(gflat, initial)
-    current = cell_from_params(cell.m, params)
     state = adam_init(pflat.shape)
     num = s.shape[0]
     history = np.zeros(schedule.epochs)
@@ -276,9 +322,9 @@ def train(cell: LstmCell, sequences, schedule: TrainSchedule, warmup: int,
         total = 0.0
         for start in range(0, num, schedule.batch_size):
             chunk = order[start:start + schedule.batch_size]
-            loss, preds, cache, dpreds = _batch_loss(current, s[chunk], warmup)
+            loss, preds, cache, dpreds = _batch_loss(pflat, s[chunk], warmup)
             gflat[...] = 0.0
-            _backward(current, warmup, preds, cache, dpreds, grads)
+            _backward(pflat, warmup, preds, cache, dpreds, gflat)
             if grad_clip is not None:
                 _clip_grads(grads, gflat, grad_clip)
             pflat[...] = adam_step(state, pflat, gflat, lr, wd)
@@ -305,7 +351,7 @@ def rollout(cell: LstmCell, sequences, warmup: int) -> np.ndarray:
     _check_rollout_args(z.shape[1], warmup)
     if z.shape[2] != cell.m:
         raise ValueError(f"frame length {z.shape[2]} != m={cell.m}")
-    preds, _ = _forward(cell, z, warmup, keep_cache=False)
+    preds, _ = _forward(_flatten(cell), z, warmup, keep_cache=False)
     return preds
 
 

@@ -213,6 +213,19 @@ class TestCsv:
         assert np.array_equal(data.load_csv_series(path),
                               [[1.0, 2.0], [3.0, 4.0]])
 
+    @pytest.mark.parametrize("text, expected", [
+        (b"\xef\xbb\xbf1,2\r\n3,4\r\n5,6\r\n",
+         [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+        (b"\xef\xbb\xbfnode_a,node_b\r\n3,4\r\n5,6\r\n",
+         [[3.0, 4.0], [5.0, 6.0]]),
+    ], ids=["no-header", "header"])
+    def test_byte_order_mark_dropped(self, tmp_path, text, expected):
+        # a leading UTF-8 byte-order mark must not turn the first data
+        # row into a header
+        path = tmp_path / "t.csv"
+        path.write_bytes(text)
+        assert data.load_csv_series(path).tolist() == expected
+
     def test_ragged_row_reports_number(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("1,2\n3\n")

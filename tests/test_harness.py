@@ -3,7 +3,10 @@ import json
 import multiprocessing
 import os
 import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape as xml_escape
 
 import numpy as np
 import pytest
@@ -531,6 +534,26 @@ class TestEmitPlot:
                 assert x0 - 0.5 <= px <= x1 + 0.5
                 assert y0 - 0.5 <= py <= y1 + 0.5
 
+    def test_label_escaping_bytes_equal_saxutils(self, tmp_path):
+        # the labels of a plot with markup characters are escaped exactly
+        # as xml.sax.saxutils.escape does: &, < and > only
+        pts = [(1, 0.5), (2, 0.25)]
+        labels = {"title": "t&<>\"'1", "xlabel": "x&<>\"'2",
+                  "ylabel": "y&<>\"'3"}
+        name = "n&<>\"'4"
+        harness.emit_plot({name: pts}, tmp_path / "a.svg", **labels)
+        harness.emit_plot({"NAME": pts}, tmp_path / "b.svg", title="TITLE",
+                          xlabel="XLABEL", ylabel="YLABEL")
+        expect = (tmp_path / "b.svg").read_text()
+        for text in (*labels.values(), name):
+            placeholder = {"t": "TITLE", "x": "XLABEL", "y": "YLABEL",
+                           "n": "NAME"}[text[0]]
+            assert expect.count(f">{placeholder}<") == 1
+            expect = expect.replace(f">{placeholder}<",
+                                    f">{xml_escape(text)}<")
+        assert (tmp_path / "a.svg").read_bytes() == expect.encode()
+        ET.fromstring(expect)
+
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
             harness.emit_plot({}, tmp_path / "x.svg")
@@ -666,3 +689,15 @@ class TestCli:
         assert cli.main(["reconstruct", "--config",
                          str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "out")]) == 1
+
+
+def test_cli_import_leaves_urllib_request_unloaded():
+    # every CLI start and bench set-up process pays for what importing
+    # the package loads; urllib.request drags in http, email and ssl
+    code = ("import sys, gtslatent.cli; "
+            "print('urllib.request' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

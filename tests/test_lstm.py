@@ -38,9 +38,103 @@ def _fd_grads(cell, frames, warmup, h=1e-6):
     return out
 
 
+def _reference_sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _reference_forward(cell, batch, warmup):
+    """The per-gate kernel that ``lstm._forward`` runs on gate blocks.
+
+    Returns (predictions, cache), one ``(x, h, c, i, f, g, o, tanh(c_new))``
+    cache tuple per step.
+    """
+    bsz, t_total, m = batch.shape
+    h = np.zeros((bsz, m))
+    c = np.zeros((bsz, m))
+    preds = np.empty((bsz, t_total - 1, m))
+    cache = []
+    with np.errstate(over="ignore"):
+        for k in range(t_total - 1):
+            x = batch[:, k, :] if k < warmup else preds[:, k - 1, :]
+            i = _reference_sigmoid(x @ cell.w_ii.T + cell.b_ii
+                                   + h @ cell.w_hi.T + cell.b_hi)
+            f = _reference_sigmoid(x @ cell.w_if.T + cell.b_if
+                                   + h @ cell.w_hf.T + cell.b_hf)
+            g = np.tanh(x @ cell.w_ig.T + cell.b_ig + h @ cell.w_hg.T
+                        + cell.b_hg)
+            o = _reference_sigmoid(x @ cell.w_io.T + cell.b_io
+                                   + h @ cell.w_ho.T + cell.b_ho)
+            c_new = f * c + i * g
+            tc = np.tanh(c_new)
+            h_new = o * tc
+            cache.append((x, h, c, i, f, g, o, tc))
+            h, c = h_new, c_new
+            preds[:, k, :] = h_new
+    return preds, cache
+
+
+def _reference_backward(cell, warmup, preds, cache, dpreds, grads):
+    """The per-gate BPTT that ``lstm._backward`` runs on gate blocks;
+    adds into ``grads``, one array per parameter name."""
+    steps = preds.shape[1]
+    dh_carry = np.zeros_like(preds[:, 0, :])
+    dc_carry = np.zeros_like(dh_carry)
+    for k in reversed(range(steps)):
+        x, h_prev, c_prev, i, f, g, o, tc = cache[k]
+        dh = dpreds[:, k, :] + dh_carry
+        do = dh * tc
+        dc = dc_carry + dh * o * (1.0 - tc * tc)
+        di = dc * g
+        dg = dc * i
+        df = dc * c_prev
+        dc_carry = dc * f
+
+        dai = di * i * (1.0 - i)
+        daf = df * f * (1.0 - f)
+        dag = dg * (1.0 - g * g)
+        dao = do * o * (1.0 - o)
+
+        grads["w_ii"] += dai.T @ x
+        grads["w_if"] += daf.T @ x
+        grads["w_ig"] += dag.T @ x
+        grads["w_io"] += dao.T @ x
+        grads["w_hi"] += dai.T @ h_prev
+        grads["w_hf"] += daf.T @ h_prev
+        grads["w_hg"] += dag.T @ h_prev
+        grads["w_ho"] += dao.T @ h_prev
+        si, sf, sg, so = dai.sum(0), daf.sum(0), dag.sum(0), dao.sum(0)
+        grads["b_ii"] += si
+        grads["b_hi"] += si
+        grads["b_if"] += sf
+        grads["b_hf"] += sf
+        grads["b_ig"] += sg
+        grads["b_hg"] += sg
+        grads["b_io"] += so
+        grads["b_ho"] += so
+
+        dh_carry = (dai @ cell.w_hi + daf @ cell.w_hf
+                    + dag @ cell.w_hg + dao @ cell.w_ho)
+        if k >= warmup:
+            dx = (dai @ cell.w_ii + daf @ cell.w_if
+                  + dag @ cell.w_ig + dao @ cell.w_io)
+            dh_carry = dh_carry + dx
+
+
+def _reference_loss_and_grads(cell, batch, warmup):
+    """Loss, predictions, cache and the 16 gradients of the reference kernel."""
+    preds, cache = _reference_forward(cell, batch, warmup)
+    diff = preds - batch[:, 1:, :]
+    loss = float(np.mean(diff * diff))
+    grads = {k: np.zeros_like(v) for k, v in cell.params().items()}
+    _reference_backward(cell, warmup, preds, cache, (2.0 / diff.size) * diff,
+                        grads)
+    return loss, preds, cache, grads
+
+
 def _reference_train(cell, seqs, schedule, warmup, seed, grad_clip=None):
-    """lstm.train as a plain loop: a checked cell per batch, fresh gradient
-    arrays, and one textbook Adam step per parameter tensor."""
+    """lstm.train as a plain loop: a checked cell per batch, the reference
+    kernel with fresh gradient arrays, and one textbook Adam step per
+    parameter tensor."""
     rng = Rng(seed)
     params = {k: v.copy() for k, v in cell.params().items()}
     moments = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in params.items()}
@@ -53,10 +147,8 @@ def _reference_train(cell, seqs, schedule, warmup, seed, grad_clip=None):
         for start in range(0, len(order), schedule.batch_size):
             chunk = order[start:start + schedule.batch_size]
             current = lstm.cell_from_params(cell.m, params)
-            loss, preds, cache, dpreds = lstm._batch_loss(current, seqs[chunk],
+            loss, _, _, grads = _reference_loss_and_grads(current, seqs[chunk],
                                                           warmup)
-            grads = {k: np.zeros_like(v) for k, v in params.items()}
-            lstm._backward(current, warmup, preds, cache, dpreds, grads)
             if grad_clip is not None:
                 norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
                 if norm > grad_clip:
@@ -103,10 +195,11 @@ def _states(cell, frames, warmup):
     """(hidden, cell) state after every step of a one-sequence rollout.
 
     Read back from the forward pass's cache, whose step k holds the
-    gates and the state it started from.
+    state it started from and the (4, B, m) block of its gates.
     """
-    preds, cache = lstm._forward(cell, frames[None], warmup, keep_cache=True)
-    cs = np.array([f * c + i * g for _, _, c, i, f, g, _, _ in cache])
+    preds, cache = lstm._forward(lstm._flatten(cell), frames[None], warmup,
+                                 keep_cache=True)
+    cs = np.array([f * c + i * g for _, _, c, (i, f, g, _), _ in cache])
     return preds[0], cs[:, 0, :]
 
 
@@ -368,7 +461,9 @@ class TestTrain:
         assert steps.index(False) == len(steps) - 1 < 6
 
     @pytest.mark.parametrize("m, grad_clip", [(3, None), (3, 0.05),
-                                              (8, None), (8, 0.05)])
+                                              (8, None), (8, 0.05),
+                                              (1, None), (1, 0.05),
+                                              (64, None), (64, 0.05)])
     def test_matches_reference_loop_bitwise(self, m, grad_clip):
         cell = _random_cell(m, seed=34)
         seqs = Rng(35).uniform_matrix(7 * 6, m, -1, 1).reshape(7, 6, m)
@@ -436,3 +531,48 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             lstm.evaluate_prediction(cell, np.zeros((2, 5, 2)),
                                      np.zeros((3, 5, 4)), 2, lambda z: z)
+
+
+def _same_bits(got, ref):
+    return got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+class TestGateBlockKernel:
+    """The gate-block kernel against the per-gate reference, bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 3, 8, 64])
+    @pytest.mark.parametrize("bsz", [1, 6])
+    @pytest.mark.parametrize("late_warmup", [False, True])
+    def test_matches_per_gate_reference_bitwise(self, m, bsz, late_warmup):
+        t_len = 7
+        warmup = t_len - 1 if late_warmup else 1
+        cell = _random_cell(m, seed=50 + m)
+        batch = Rng(51 + bsz).uniform_matrix(bsz * t_len, m, -1.5, 1.5)
+        batch = batch.reshape(bsz, t_len, m)
+        loss, preds, cache, grads = _reference_loss_and_grads(cell, batch,
+                                                              warmup)
+
+        flat = lstm._flatten(cell)
+        got_loss, got_preds, got_cache, dpreds = lstm._batch_loss(flat, batch,
+                                                                  warmup)
+        gflat = np.zeros_like(flat)
+        lstm._backward(flat, warmup, got_preds, got_cache, dpreds, gflat)
+        assert got_loss == loss
+        assert _same_bits(got_preds, preds)
+        assert len(got_cache) == len(cache) == t_len - 1
+        for step, (got, ref) in enumerate(zip(got_cache, cache)):
+            x, h, c, (i, f, g, o), tc = got
+            for name, a, b in zip(("x", "h", "c", "i", "f", "g", "o", "tc"),
+                                  (x, h, c, i, f, g, o, tc), ref):
+                assert _same_bits(a, b), (step, name)
+        got_grads = lstm._views(gflat, cell.params())
+        for name in lstm.PARAM_NAMES:
+            assert _same_bits(got_grads[name], grads[name]), name
+
+        assert _same_bits(lstm.rollout(cell, batch, warmup), preds)
+        if bsz == 1:
+            public_loss, public_grads = lstm.loss_and_grad(cell, batch[0],
+                                                           warmup)
+            assert public_loss == loss
+            for name in lstm.PARAM_NAMES:
+                assert _same_bits(public_grads[name], grads[name]), name
