@@ -284,37 +284,73 @@ def load_csv_series(path) -> np.ndarray:
     the file; a ragged row raises as ragged even if it is non-numeric
     too.  Cells parse as ``float()`` parses them.  The file is read as
     UTF-8; a leading byte-order mark, as spreadsheet exports often
-    write, is dropped.
+    write, is dropped.  A row the ``csv`` module cannot split (say, a
+    field over its size limit) raises ``ValueError`` with its line
+    number too.
 
-    Memory: each row is converted to float64 as soon as it is read, so
-    only one row of cell strings is alive at a time and the peak is
-    about twice the result (the row arrays, then the stacked matrix).
+    Memory: a first binary pass counts the file's lines, which bounds
+    its rows.  The first data row then sets the width of a matrix with
+    that many rows, and every row is converted to float64 and written
+    straight into it, so only one row of cell strings is alive at a
+    time and the peak is the result plus a few spare rows (one per
+    header or blank line).  The result is a view of that matrix's first
+    rows.
     """
-    rows, header = [], False
+    lines = _count_lines(path)
+    out, rows, header = None, 0, False
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        for row in reader:
-            if not row:
-                continue
-            if rows and len(row) != len(rows[0]):
-                raise ValueError(
-                    f"{path}: row {reader.line_num} has {len(row)} cells, "
-                    f"expected {len(rows[0])}"
-                )
-            try:
-                rows.append(np.array(row, dtype=np.float64))
-            except ValueError as exc:
-                if rows or header:
-                    raise ValueError(f"{path}: non-numeric cell in row "
-                                     f"{reader.line_num}") from exc
-                header = True
-    if not rows:
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if out is not None and len(row) != out.shape[1]:
+                    raise ValueError(
+                        f"{path}: row {reader.line_num} has {len(row)} "
+                        f"cells, expected {out.shape[1]}"
+                    )
+                try:
+                    values = np.array(row, dtype=np.float64)
+                except ValueError as exc:
+                    if out is not None or header:
+                        raise ValueError(f"{path}: non-numeric cell in row "
+                                         f"{reader.line_num}") from exc
+                    header = True
+                    continue
+                if out is None:
+                    # this row, and at most one more per line after it
+                    out = np.empty((lines - reader.line_num + 1, len(row)))
+                elif rows == out.shape[0]:
+                    raise ValueError(f"{path}: file changed while read")
+                out[rows] = values
+                rows += 1
+        except csv.Error as exc:
+            raise ValueError(f"{path}: row {reader.line_num}: {exc}") from exc
+    if out is None:
         raise ValueError(f"{path}: only a header row, no data" if header
                          else f"{path}: empty CSV")
-    data = np.stack(rows)
+    data = out[:rows]
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: contains non-finite values")
     return data
+
+
+def _count_lines(path) -> int:
+    """Lines ``csv.reader`` can see in a file opened with ``newline=""``.
+
+    Those lines end at ``\\r\\n``, ``\\n`` or ``\\r``; the count is one
+    more than the line ends, which is exact for a file whose last line
+    has no end.  Read in 64 KiB chunks, so it holds no copy of the file.
+    """
+    lines, after_cr = 1, False
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            lines += (chunk.count(b"\n") + chunk.count(b"\r")
+                      - chunk.count(b"\r\n"))
+            if after_cr and chunk.startswith(b"\n"):
+                lines -= 1  # a \r\n split between two chunks
+            after_cr = chunk.endswith(b"\r")
+    return lines
 
 
 def save_csv_series(path, series, header=None) -> None:
@@ -362,7 +398,8 @@ def save_tensor(path, dims, values) -> None:
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sI", b"GTS1", len(dims)))
         fh.write(struct.pack(f"<{len(dims)}I", *dims))
-        fh.write(np.ascontiguousarray(arr.reshape(dims), dtype="<f4").tobytes())
+        # the float32 array's own buffer: tobytes() would copy it again
+        fh.write(np.ascontiguousarray(arr.reshape(dims), dtype="<f4"))
 
 
 def load_tensor(path) -> tuple[tuple[int, ...], np.ndarray]:

@@ -69,14 +69,16 @@ def grid_graph(height: int, width: int) -> Graph:
         raise ValueError("grid dimensions must be at least 1x1")
     n = height * width
     w = np.zeros((n, n))
-    for r in range(height):
-        for c in range(width):
-            i = r * width + c
-            if c + 1 < width:
-                w[i, i + 1] = w[i + 1, i] = 1.0
-            if r + 1 < height:
-                w[i, i + width] = w[i + width, i] = 1.0
+    i, j = _grid_edges(height, width)
+    w[i, j] = w[j, i] = 1.0
     return Graph(n, w)
+
+
+def _grid_edges(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) node indices, i < j, of the grid's 4-neighbourhood edges."""
+    node = np.arange(height * width).reshape(height, width)
+    return (np.concatenate((node[:, :-1].ravel(), node[:-1, :].ravel())),
+            np.concatenate((node[:, 1:].ravel(), node[1:, :].ravel())))
 
 
 def semi_geometric_graph(frames, height: int, width: int) -> Graph:
@@ -96,10 +98,14 @@ def semi_geometric_graph(frames, height: int, width: int) -> Graph:
         raise ValueError(
             f"frame length {f.shape[1]} does not match {height}x{width} grid"
         )
-    support = grid_graph(height, width).weights
     cov = np.atleast_2d(np.cov(f, rowvar=False))
-    cov = (cov + cov.T) / 2.0  # BLAS products are not exactly symmetric
-    return Graph(n, np.abs(cov) * support)
+    i, j = _grid_edges(height, width)
+    # BLAS products are not exactly symmetric: average the two halves
+    edge = np.abs((cov[i, j] + cov[j, i]) / 2.0)
+    del cov
+    w = np.zeros((n, n))
+    w[i, j] = w[j, i] = edge
+    return Graph(n, w)
 
 
 def correlation_graph(series, keep_fraction: float = DEFAULT_KEEP_FRACTION) -> Graph:
@@ -118,10 +124,9 @@ def correlation_graph(series, keep_fraction: float = DEFAULT_KEEP_FRACTION) -> G
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must be in (0, 1]")
 
-    flat = np.zeros((n, n))
     total = n * (n - 1) // 2
     if total == 0:
-        return Graph(n, flat)
+        return Graph(n, np.zeros((n, n)))
 
     constant = np.ptp(s, axis=0) == 0.0
     if np.any(constant):
@@ -131,19 +136,39 @@ def correlation_graph(series, keep_fraction: float = DEFAULT_KEEP_FRACTION) -> G
         )
 
     corr = np.corrcoef(s, rowvar=False)
-    corr = (corr + corr.T) / 2.0
-    ii, jj = np.triu_indices(n, 1)
-    score = np.abs(corr[ii, jj])
+    # the pairs (i, i+1), ..., (i, n-1) of row i fill score[start[i]:
+    # start[i+1]], so score holds the upper triangle in row-major order
+    start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    score = np.empty(total)
+    for i in range(n - 1):
+        # BLAS products are not exactly symmetric: add the two halves
+        np.add(corr[i, i + 1:], corr[i + 1:, i],
+               out=score[start[i]:start[i + 1]])
+    del corr
+    score /= 2.0
+    np.abs(score, out=score)
 
     # small slack so a keep_fraction*total that is mathematically an
     # integer is not pushed up by float noise
     keep = math.ceil(keep_fraction * total - 1e-9)
     keep = min(max(keep, 1), total)
-    order = np.lexsort((jj, ii, -score))[:keep]
-    flat[ii[order], jj[order]] = score[order]
-    return Graph(n, flat + flat.T)
+    # a stable ascending sort of -score: largest first, and ties stay
+    # in row-major (i, j) order
+    np.negative(score, out=score)
+    top = np.argsort(score, kind="stable")[:keep].copy()
+    weight = -score[top]
+    del score
+    ii = np.searchsorted(start, top, side="right") - 1
+    jj = top - start[ii] + ii + 1
+    w = np.zeros((n, n))
+    w[ii, jj] = w[jj, ii] = weight
+    return Graph(n, w)
 
 
 def laplacian(graph: Graph) -> np.ndarray:
     """Combinatorial Laplacian: degree matrix minus adjacency."""
-    return np.diag(graph.degrees) - graph.weights
+    w = graph.weights
+    # 0.0 - w, not -w: a missing edge stays +0.0, as in diag(d) - w
+    lap = 0.0 - w
+    np.fill_diagonal(lap, graph.degrees - w.diagonal())
+    return lap

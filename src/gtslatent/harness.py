@@ -26,7 +26,6 @@ both paths give bit-identical reports.
 
 from __future__ import annotations
 
-import hashlib
 import html
 import json
 import numbers
@@ -42,6 +41,16 @@ import numpy as np
 from . import ae, data, graphs, lstm, spectral
 from .optim import TrainSchedule
 from .rng import derive_seed
+
+# CPython's builtin sha256, as its own random module does: hashlib
+# would load OpenSSL (several MB of RSS) to hash a few short strings
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 METHODS = ("gft-grid", "gft-geo", "gft-corr", "ae", "raw")
 
@@ -215,7 +224,7 @@ def load_config(path) -> ExperimentConfig:
 def config_hash(config: ExperimentConfig) -> str:
     """Stable hash of the config contents (not of the file formatting)."""
     blob = json.dumps(config.source, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return _sha256(blob.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +355,7 @@ def _cache_file(config, kind: str, n: int, m: int) -> Path | None:
     if kind == "gft-corr":
         relevant["keep_fraction"] = config.keep_fraction
     blob = json.dumps(relevant, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
+    digest = _sha256(blob.encode()).hexdigest()[:16]
     out = Path(config.codec_cache_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out / f"{kind}_n{n}_m{m}_{digest}.gts"
@@ -408,6 +417,22 @@ def _full_basis(config, method: str, train_frames: np.ndarray,
     packed = _read_cache(cache, (n + 1, n))
     if packed is not None:
         return spectral.LinearCodec(packed[1:], packed[0])
+    basis = spectral.compute_basis(
+        _laplacian(config, method, train_frames, frame_shape), n)
+    if cache is not None:
+        _write_cache(cache, np.vstack([basis.eigenvalues[None, :], basis.a]))
+        basis = spectral.LinearCodec(_quantize(basis.a),
+                                     _quantize(basis.eigenvalues))
+    return basis
+
+
+def _laplacian(config, method: str, train_frames: np.ndarray,
+               frame_shape) -> np.ndarray:
+    """A spectral method's graph Laplacian.
+
+    The graph is freed on return, and the Laplacian once the eigensolve
+    that takes it returns, so neither n x n matrix outlives its use.
+    """
     if method == "gft-grid":
         graph = graphs.grid_graph(*frame_shape)
     elif method == "gft-geo":
@@ -416,12 +441,7 @@ def _full_basis(config, method: str, train_frames: np.ndarray,
         graph = graphs.correlation_graph(train_frames, config.keep_fraction)
     else:
         raise ValueError(f"not a spectral method: {method}")
-    basis = spectral.compute_basis(graphs.laplacian(graph), n)
-    if cache is not None:
-        _write_cache(cache, np.vstack([basis.eigenvalues[None, :], basis.a]))
-        basis = spectral.LinearCodec(_quantize(basis.a),
-                                     _quantize(basis.eigenvalues))
-    return basis
+    return graphs.laplacian(graph)
 
 
 @dataclass(frozen=True)
@@ -593,8 +613,9 @@ def _run_experiment(config: ExperimentConfig, predict: bool) -> Report:
     _validate_compatibility(config, dataset, need_lstm=predict)
     train_set, test_set = data.split(dataset, config.train_fraction,
                                      _stream(config.seed, _STREAM_SPLIT))
+    n, frame_shape = dataset.frame_dim, dataset.frame_shape
+    del dataset  # the splits hold copies; free the unsplit frames now
     train_frames = train_set.frames()
-    n = dataset.frame_dim
     # shared work and all codec-cache reads happen here, in cell order,
     # so cache warnings reach this process's stderr in that order
     bases, ae_cached = {}, {}
@@ -605,7 +626,7 @@ def _run_experiment(config: ExperimentConfig, predict: bool) -> Report:
                                            (n, m))
         elif method != "raw":
             bases[method] = _full_basis(config, method, train_frames,
-                                        dataset.frame_shape)
+                                        frame_shape)
     inputs = _CellInputs(config, predict, train_set, test_set, train_frames,
                          test_set.frames(), bases, ae_cached)
     cells = _run_cells(inputs, [(method, m) for method in config.methods

@@ -71,6 +71,10 @@ def sym_eig(s) -> tuple[np.ndarray, np.ndarray]:
     Inside a degenerate eigenspace the basis (not only the signs) is
     still the solver's choice; callers must rely only on its span there.
 
+    Memory: one n x n buffer serves the symmetry check, the symmetrised
+    input and the sign convention's magnitudes, so the peak is that
+    buffer plus LAPACK's eigenvector matrix, about 2 n^2 doubles.
+
     Raises ``ValueError`` for non-square, non-symmetric or non-finite
     input, and ``np.linalg.LinAlgError`` (a ``ValueError``) if LAPACK
     does not converge.
@@ -81,12 +85,19 @@ def sym_eig(s) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if n == 0:
         return np.zeros(0), np.zeros((0, 0))
-    if float(np.max(np.abs(a - a.T))) > SYMMETRY_ATOL:
+    buf = np.subtract(a, a.T)
+    if float(np.max(np.abs(buf, out=buf))) > SYMMETRY_ATOL:
         raise ValueError(f"matrix is not symmetric within {SYMMETRY_ATOL:g}")
 
     # make the ~1e-10 asymmetry exactly zero
-    eigenvalues, eigenvectors = np.linalg.eigh((a + a.T) / 2.0)
-    mags = np.abs(eigenvectors)
-    lead = np.argmax(mags >= (1.0 - SIGN_RTOL) * mags.max(axis=0), axis=0)
+    np.add(a, a.T, out=buf)
+    buf /= 2.0
+    eigenvalues, eigenvectors = np.linalg.eigh(buf)
+    # row k holds column k's magnitudes, then 1.0 at its peak entries,
+    # so argmax runs along contiguous rows and needs no copy or mask
+    mags = np.abs(eigenvectors.T, out=buf)
+    np.greater_equal(mags, (1.0 - SIGN_RTOL) * mags.max(axis=1)[:, None],
+                     out=mags)
+    lead = np.argmax(mags, axis=1)
     eigenvectors *= np.where(eigenvectors[lead, np.arange(n)] < 0.0, -1.0, 1.0)
     return eigenvalues, eigenvectors

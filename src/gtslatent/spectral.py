@@ -62,12 +62,19 @@ class LinearCodec:
 
 
 def compute_basis(lap, m: int) -> LinearCodec:
-    """Eigendecompose a Laplacian and keep the m lowest-eigenvalue columns."""
+    """Eigendecompose a Laplacian and keep the m lowest-eigenvalue columns.
+
+    At ``m == n`` the codec takes :func:`linalg.sym_eig`'s eigenvector
+    matrix as it is: that is already a C-contiguous array of its own,
+    so a copy would only add n^2 doubles to the peak.
+    """
     l = linalg.as_matrix(lap, "laplacian")
     n = l.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"m={m} out of range [1, {n}]")
     eigenvalues, eigenvectors = linalg.sym_eig(l)
+    if m == n:
+        return LinearCodec(eigenvectors, eigenvalues)
     # copies, not column views: a strided matrix may take another BLAS
     # path in the products below and round differently
     return LinearCodec(eigenvectors[:, :m].copy(), eigenvalues[:m].copy())

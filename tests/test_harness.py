@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import multiprocessing
 import os
@@ -6,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 from xml.sax.saxutils import escape as xml_escape
 
 import numpy as np
@@ -685,6 +687,19 @@ class TestCli:
         assert err.startswith("error:") and key in err
         assert not (tmp_path / "out").exists()
 
+    def test_oversized_csv_field_is_a_one_line_error(self, tmp_path, capsys):
+        # over the csv module's field size limit (131072 characters)
+        path = tmp_path / "series.csv"
+        path.write_text('1,2\n"' + "1" * 140000 + '",3\n')
+        cfg_path = self._write_config(tmp_path, _tiny_config(
+            dataset={"type": "csv", "path": str(path), "frames": 2},
+            methods=["gft-corr"], latent_dims=[1]))
+        assert cli.main(["reconstruct", "--config", cfg_path,
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "row 2" in err and "field larger than field limit" in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["reconstruct", "--config",
                          str(tmp_path / "nope.json"),
@@ -693,11 +708,68 @@ class TestCli:
 
 def test_cli_import_leaves_urllib_request_unloaded():
     # every CLI start and bench set-up process pays for what importing
-    # the package loads; urllib.request drags in http, email and ssl
-    code = ("import sys, gtslatent.cli; "
-            "print('urllib.request' in sys.modules)")
+    # the package loads; urllib.request drags in http, email and ssl,
+    # and hashlib's OpenSSL backend (_hashlib) adds several MB of RSS
+    code = ("import sys, gtslatent.cli; print([m for m in "
+            "('urllib.request', '_hashlib', 'ssl') if m in sys.modules])")
     src = os.path.dirname(os.path.dirname(harness.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+_SHIPPED_CONFIGS = sorted(
+    Path(__file__).resolve().parent.parent.glob("configs/*.json"))
+
+# prints, per shipped config, its config_hash and the codec-cache file
+# name of every coded (method, m); argv: cache dir, then config paths
+_DIGESTS_CODE = """
+import json, sys
+from gtslatent import harness
+out = []
+for path in sys.argv[2:]:
+    raw = json.load(open(path))
+    raw["codec_cache_dir"] = sys.argv[1]
+    config = harness.config_from_dict(raw)
+    out.append([harness.config_hash(config)] + [
+        harness._cache_file(config, kind, 256, m).name
+        for kind in config.methods if kind != "raw"
+        for m in config.latent_dims])
+print(json.dumps(out))
+"""
+
+
+def _shipped_digests(tmp_path, prelude=""):
+    """What _DIGESTS_CODE prints in a fresh interpreter after ``prelude``."""
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", prelude + _DIGESTS_CODE, str(tmp_path)]
+        + [str(p) for p in _SHIPPED_CONFIGS],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    return json.loads(out.stdout)
+
+
+def test_shipped_config_digests_equal_hashlib(tmp_path):
+    assert _SHIPPED_CONFIGS
+    for path in _SHIPPED_CONFIGS:
+        config = harness.load_config(path)
+        blob = json.dumps(config.source, sort_keys=True,
+                          separators=(",", ":"))
+        assert (harness.config_hash(config)
+                == hashlib.sha256(blob.encode()).hexdigest())
+    # every cache file name too: the same with hashlib's sha256 swapped in
+    prelude = ("import hashlib, gtslatent.harness\n"
+               "gtslatent.harness._sha256 = hashlib.sha256\n")
+    assert _shipped_digests(tmp_path) == _shipped_digests(tmp_path, prelude)
+
+
+def test_digests_fall_back_to_hashlib(tmp_path):
+    # without the builtin modules the harness must hash with hashlib,
+    # and every digest must stay the same
+    prelude = ("import sys, hashlib\n"
+               "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+               "import gtslatent.harness\n"
+               "assert gtslatent.harness._sha256 is hashlib.sha256\n")
+    assert _shipped_digests(tmp_path, prelude) == _shipped_digests(tmp_path)

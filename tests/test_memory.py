@@ -1,0 +1,94 @@
+"""Traced peak memory of the spatial stage, in n x n float64 buffers.
+
+The main process builds every graph, Laplacian and eigenbasis, so these
+bound what it allocates at the full-basis shape.  Each bound is the
+peak measured at n=576 (a 24x24 grid, 100 frames) plus about 0.1 n^2,
+rounded down to a multiple of 0.05.  What a peak holds is noted beside
+each bound; the figures at n=2025 are in CHANGES.md.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from gtslatent import graphs, harness, linalg, spectral
+from gtslatent.rng import Rng
+
+SIDE = 24
+N = SIDE * SIDE
+N2_BYTES = N * N * 8
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and its traced peak allocation in n x n doubles."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak / N2_BYTES
+
+
+@pytest.fixture(scope="module")
+def frames():
+    f = Rng(5).uniform_matrix(100, N, -1.0, 1.0)
+    f[:, 1:] += 0.5 * f[:, :-1]  # correlated neighbours, as in images
+    return f
+
+
+@pytest.fixture(scope="module")
+def lap(frames):
+    return graphs.laplacian(graphs.correlation_graph(frames))
+
+
+def test_correlation_graph(frames):
+    # measured 1.50: the correlation matrix and the upper-triangle
+    # scores (was 5.15 with the index, sort-key and sum temporaries)
+    _, peak = _traced_peak(graphs.correlation_graph, frames)
+    assert peak <= 1.6
+
+
+def test_semi_geometric_graph(frames):
+    # measured 1.18: the covariance and np.cov's centred frames (0.17
+    # n^2 here); was 3.15 with the dense support product
+    _, peak = _traced_peak(graphs.semi_geometric_graph, frames, SIDE, SIDE)
+    assert peak <= 1.25
+
+
+def test_laplacian():
+    g = graphs.grid_graph(SIDE, SIDE)
+    out, peak = _traced_peak(graphs.laplacian, g)
+    # measured 1.00: the result alone
+    assert peak <= 1.1
+    # bitwise, so the +0.0 of every missing edge too
+    assert out.tobytes() == (np.diag(g.degrees) - g.weights).tobytes()
+
+
+def test_sym_eig(lap):
+    # measured 2.03: one work buffer and LAPACK's eigenvectors (was 2.25)
+    _, peak = _traced_peak(linalg.sym_eig, lap)
+    assert peak <= 2.1
+
+
+def test_compute_basis_full(lap):
+    # measured 2.03: sym_eig's peak; at m == n the eigenvectors are not
+    # copied again
+    codec, peak = _traced_peak(spectral.compute_basis, lap, N)
+    assert peak <= 2.1
+    assert codec.a.flags.c_contiguous
+
+
+def test_full_basis_with_cache(frames, tmp_path):
+    # measured 3.03: the Laplacian (its graph already freed) and
+    # sym_eig's two matrices, then at most 2.5 while the basis is
+    # written to the cache; was 4.03 with the graph alive throughout
+    config = harness.config_from_dict({
+        "dataset": {"type": "moving_crop", "crop": SIDE},
+        "methods": ["gft-geo"], "latent_dims": [4], "train_fraction": 0.7,
+        "warmup": 2, "seed": 1, "codec_cache_dir": str(tmp_path)})
+    _, peak = _traced_peak(harness._full_basis, config, "gft-geo", frames,
+                           (SIDE, SIDE))
+    assert peak <= 3.1
+    assert len(list(tmp_path.iterdir())) == 1
