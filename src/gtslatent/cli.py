@@ -62,6 +62,8 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be an object, got {raw!r}")
         if args.seed is not None:
             raw["seed"] = args.seed
         out_dir = args.out or raw.get("out_dir") or "gtslatent-out"

@@ -188,6 +188,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 if "ae_schedule" in raw else None)
     lstm_sched = (_schedule_from_dict(raw["lstm_schedule"], "lstm_schedule")
                   if "lstm_schedule" in raw else None)
+    _expect(raw.get("out_dir"), (str, type(None)), "out_dir", "a path or null")
     return ExperimentConfig(
         dataset=dict(_expect(raw["dataset"], dict, "dataset", "an object")),
         methods=tuple(methods),
@@ -257,18 +258,24 @@ def build_dataset(config: ExperimentConfig) -> data.SequenceDataset:
             seed=seed,
         )
     if kind == "file":
-        return load_dataset(block["path"], block.get("meta"))
+        return load_dataset(_path(block, "dataset"), block.get("meta"))
     if kind == "csv":
-        series = data.load_csv_series(block["path"])
+        series = data.load_csv_series(_path(block, "dataset"))
         return data.sequences_from_series(
             series, _as_int(block.get("frames", 20), "dataset frames"))
     raise ValueError(f"unknown dataset type {kind!r}")
 
 
+def _path(block: dict, label: str) -> str:
+    if "path" not in block:
+        raise ValueError(f"{label} is missing key 'path'")
+    return _expect(block["path"], str, f"{label} path", "a string")
+
+
 def _build_images(source: dict, block: dict, seed: int) -> data.ImageSet:
     kind = source.get("type", "textured")
     if kind == "stl10":
-        return data.load_stl10(source["path"])
+        return data.load_stl10(_path(source, "dataset source"))
     if kind == "textured":
         return data.generate_textured_images(
             count=_as_int(source.get("count", block.get("sequences", 100)),

@@ -13,17 +13,17 @@ graph, including through the fed-back predictions (an input that was a
 previous prediction routes its gradient back into the step that
 produced it).
 
-The kernel runs on gate blocks.  The 16 parameters sit back to back in
-one flat buffer, in ``PARAM_NAMES`` order, so the buffer already holds
-the input weights as a (4, m, m) stack in i, f, g, o order, then the
-recurrent weights, then the two bias stacks (:func:`_blocks`).  Each
-step fills one (4, B, m) block of gate pre-activations with one stacked
-matmul per weight stack and one add per bias, and runs one sigmoid over
-the block (the g gate's tanh then overwrites its part); backward builds
-the gate gradients as one block the same way.  A stacked matmul still
-runs one GEMM per gate, and every elementwise op is the per-gate
-kernel's op on the same operands, so all results are bitwise those of
-the per-gate kernel.  Fusing further changes results or costs time:
+The kernel runs on gate blocks.  A cell is one flat parameter buffer
+that holds the input weights as a (4, m, m) stack in i, f, g, o order,
+then the recurrent weights, then the input and recurrent bias stacks
+(:func:`_blocks`).  Each step fills one (4, B, m) block of gate
+pre-activations with one stacked matmul per weight stack and one add
+per bias, and runs one sigmoid over the block (the g gate's tanh then
+overwrites its part); backward builds the gate gradients as one block
+the same way.  A stacked matmul still runs one GEMM per gate, and
+every elementwise op is the per-gate kernel's op on the same operands,
+so all results are bitwise those of the per-gate kernel.  Fusing
+further changes results or costs time:
 
 * one (B, m) x (m, 4m) forward GEMM rounds differently from four
   per-gate GEMMs on OpenBLAS (seen at m=64, B=6), and so does one K=4m
@@ -47,65 +47,42 @@ from . import linalg
 from .optim import TrainSchedule, adam_init, adam_step, schedule_at
 from .rng import Rng
 
-WEIGHT_NAMES = ("w_ii", "w_if", "w_ig", "w_io", "w_hi", "w_hf", "w_hg", "w_ho")
-BIAS_NAMES = ("b_ii", "b_if", "b_ig", "b_io", "b_hi", "b_hf", "b_hg", "b_ho")
-PARAM_NAMES = WEIGHT_NAMES + BIAS_NAMES
-
 
 @dataclass(frozen=True)
 class LstmCell:
-    """Eight (m, m) gate weight matrices and eight length-m biases."""
+    """Latent dimension ``m`` and one flat float64 buffer of length 8m(m+1).
+
+    ``flat`` holds the weight stacks ``W_x`` and ``W_h`` and the bias
+    stacks ``b_x`` and ``b_h`` back to back, each in i, f, g, o gate
+    order; :func:`_blocks` reads it.
+    """
 
     m: int
-    w_ii: np.ndarray
-    w_if: np.ndarray
-    w_ig: np.ndarray
-    w_io: np.ndarray
-    w_hi: np.ndarray
-    w_hf: np.ndarray
-    w_hg: np.ndarray
-    w_ho: np.ndarray
-    b_ii: np.ndarray
-    b_if: np.ndarray
-    b_ig: np.ndarray
-    b_io: np.ndarray
-    b_hi: np.ndarray
-    b_hf: np.ndarray
-    b_hg: np.ndarray
-    b_ho: np.ndarray
+    flat: np.ndarray
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("latent dimension must be at least 1")
-        for name in WEIGHT_NAMES:
-            w = linalg.as_matrix(getattr(self, name), name)
-            if w.shape != (self.m, self.m):
-                raise ValueError(f"{name} shape {w.shape} != ({self.m}, {self.m})")
-            object.__setattr__(self, name, w)
-        for name in BIAS_NAMES:
-            b = linalg.as_vector(getattr(self, name), name)
-            if b.shape != (self.m,):
-                raise ValueError(f"{name} length {b.shape[0]} != {self.m}")
-            object.__setattr__(self, name, b)
+        flat = np.ascontiguousarray(linalg.as_vector(self.flat, "flat"))
+        size = 8 * self.m * (self.m + 1)
+        if flat.size != size:
+            raise ValueError(f"flat length {flat.size} != 8m(m+1) = {size}")
+        object.__setattr__(self, "flat", flat)
 
     def params(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in PARAM_NAMES}
-
-
-def cell_from_params(m: int, params: dict) -> LstmCell:
-    return LstmCell(m, **{name: params[name] for name in PARAM_NAMES})
+        """Views of ``flat`` keyed ``w_x``, ``w_h``, ``b_x``, ``b_h``."""
+        return _named(self.flat, self.m)
 
 
 def init_cell(m: int, seed: int) -> LstmCell:
     """Weights uniform on [-1/sqrt(m), 1/sqrt(m)], biases zero."""
     if m < 1:
         raise ValueError("latent dimension must be at least 1")
-    rng = Rng(seed)
     bound = 1.0 / np.sqrt(m)
-    params = {name: rng.uniform_matrix(m, m, -bound, bound)
-              for name in WEIGHT_NAMES}
-    params.update({name: np.zeros(m) for name in BIAS_NAMES})
-    return cell_from_params(m, params)
+    weights = Rng(seed).uniform_matrix(8 * m, m, -bound, bound)
+    flat = np.zeros(8 * m * (m + 1))
+    flat[:8 * m * m] = weights.ravel()
+    return LstmCell(m, flat)
 
 
 def _sigmoid(z):
@@ -124,23 +101,21 @@ def _check_rollout_args(num_frames: int, warmup: int):
         )
 
 
-def _flatten(cell: LstmCell) -> np.ndarray:
-    """The 16 parameters back to back, in ``PARAM_NAMES`` order."""
-    return np.concatenate([arr.ravel() for arr in cell.params().values()])
-
-
 def _blocks(flat: np.ndarray, m: int):
     """(W_x, W_h, b_x, b_h) gate-major views of a flat parameter buffer.
 
-    ``flat`` holds the 16 tensors in ``PARAM_NAMES`` order (see
-    :func:`_flatten`), so ``w_ii..w_io`` are the (4, m, m) stack
-    ``W_x``, ``w_hi..w_ho`` the stack ``W_h``, and the biases the
-    (4, 1, m) stacks ``b_x`` and ``b_h``, each in i, f, g, o order.
+    The (4, m, m) weight stacks come first, then the (4, 1, m) bias
+    stacks, each in i, f, g, o order.
     """
     w = 4 * m * m
     return (flat[:w].reshape(4, m, m), flat[w:2 * w].reshape(4, m, m),
             flat[2 * w:2 * w + 4 * m].reshape(4, 1, m),
             flat[2 * w + 4 * m:].reshape(4, 1, m))
+
+
+def _named(flat: np.ndarray, m: int) -> dict[str, np.ndarray]:
+    """The :func:`_blocks` views keyed ``w_x``, ``w_h``, ``b_x``, ``b_h``."""
+    return dict(zip(("w_x", "w_h", "b_x", "b_h"), _blocks(flat, m)))
 
 
 def _forward(flat: np.ndarray, batch: np.ndarray, warmup: int,
@@ -247,37 +222,29 @@ def _batch_loss(flat: np.ndarray, batch: np.ndarray, warmup: int):
 def loss_and_grad(cell: LstmCell, frames, warmup: int):
     """Training loss and exact parameter gradients for one sequence.
 
-    Loss is the MSE between frames 2..T and all T-1 predictions;
-    gradients cover all 16 parameters.
+    Loss is the MSE between frames 2..T and all T-1 predictions; the
+    gradient is one fresh buffer laid out like ``cell.flat``, returned
+    as its views keyed like :meth:`LstmCell.params`.
     """
     f = linalg.as_matrix(frames, "frames")
     _check_rollout_args(f.shape[0], warmup)
     if f.shape[1] != cell.m:
         raise ValueError(f"frame length {f.shape[1]} != m={cell.m}")
-    flat = _flatten(cell)
-    loss, preds, cache, dpreds = _batch_loss(flat, f[None, :, :], warmup)
-    gflat = np.zeros_like(flat)
-    _backward(flat, warmup, preds, cache, dpreds, gflat)
-    return loss, _views(gflat, cell.params())
+    loss, preds, cache, dpreds = _batch_loss(cell.flat, f[None, :, :], warmup)
+    gflat = np.zeros_like(cell.flat)
+    _backward(cell.flat, warmup, preds, cache, dpreds, gflat)
+    return loss, _named(gflat, cell.m)
 
 
-def _views(flat: np.ndarray, like: dict) -> dict[str, np.ndarray]:
-    """Views of ``flat`` shaped like the arrays of ``like``, back to back."""
-    views, offset = {}, 0
-    for name, arr in like.items():
-        views[name] = flat[offset:offset + arr.size].reshape(arr.shape)
-        offset += arr.size
-    return views
+def _clip_grads(gflat: np.ndarray, m: int, max_norm: float):
+    """Scale the gradient buffer ``gflat`` to global norm ``max_norm``.
 
-
-def _clip_grads(grads: dict, flat: np.ndarray, max_norm: float):
-    """Scale ``flat``, whose views are ``grads``, to global norm ``max_norm``.
-
-    The squared norm is summed per tensor, in ``grads`` order.
+    The squared norm is summed per gate slice, in buffer order.
     """
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    total = np.sqrt(sum(float(np.sum(g * g))
+                        for block in _blocks(gflat, m) for g in block))
     if total > max_norm:
-        flat *= max_norm / total
+        gflat *= max_norm / total
 
 
 def train(cell: LstmCell, sequences, schedule: TrainSchedule, warmup: int,
@@ -289,13 +256,11 @@ def train(cell: LstmCell, sequences, schedule: TrainSchedule, warmup: int,
     global-norm gradient clipping to a positive ``grad_clip`` is off by
     default.  Returns the trained cell and per-epoch mean training loss.
 
-    The sequences are validated once, on entry.  The 16 parameters and
-    their gradients live as views in two flat buffers, which the kernel
-    reads and writes directly.  Each batch zeroes the gradient buffer,
-    accumulates into it, and makes one Adam step over the whole
-    parameter buffer.  A step that leaves a
-    non-finite entry raises the ``ValueError`` that building the cell
-    would.  The returned cell holds copies of the parameters.
+    The sequences are validated once, on entry.  Training steps a copy
+    of ``cell.flat``: each batch zeroes one gradient buffer, accumulates
+    into it, and makes one Adam step over the whole parameter buffer.
+    A step that leaves a non-finite entry raises a ``ValueError`` naming
+    the first block that holds one.  The returned cell owns its buffer.
     """
     s = np.asarray(sequences, dtype=np.float64)
     if s.ndim != 3 or s.shape[0] == 0:
@@ -309,10 +274,8 @@ def train(cell: LstmCell, sequences, schedule: TrainSchedule, warmup: int,
         # a negative scale would turn every step into gradient ascent
         raise ValueError(f"grad_clip must be positive, got {grad_clip!r}")
 
-    initial = cell.params()
-    pflat = _flatten(cell)
+    pflat = cell.flat.copy()
     gflat = np.zeros_like(pflat)
-    params, grads = _views(pflat, initial), _views(gflat, initial)
     state = adam_init(pflat.shape)
     num = s.shape[0]
     history = np.zeros(schedule.epochs)
@@ -326,16 +289,15 @@ def train(cell: LstmCell, sequences, schedule: TrainSchedule, warmup: int,
             gflat[...] = 0.0
             _backward(pflat, warmup, preds, cache, dpreds, gflat)
             if grad_clip is not None:
-                _clip_grads(grads, gflat, grad_clip)
-            pflat[...] = adam_step(state, pflat, gflat, lr, wd)
+                _clip_grads(gflat, cell.m, grad_clip)
+            pflat = adam_step(state, pflat, gflat, lr, wd)
             if not np.isfinite(pflat).all():
-                bad = next(name for name, arr in params.items()
+                bad = next(name for name, arr in _named(pflat, cell.m).items()
                            if not np.isfinite(arr).all())
                 raise ValueError(f"{bad} contains non-finite entries")
             total += loss * len(chunk)
         history[epoch] = total / num
-    return cell_from_params(cell.m, {name: arr.copy()
-                                     for name, arr in params.items()}), history
+    return LstmCell(cell.m, pflat), history
 
 
 def rollout(cell: LstmCell, sequences, warmup: int) -> np.ndarray:
@@ -351,7 +313,7 @@ def rollout(cell: LstmCell, sequences, warmup: int) -> np.ndarray:
     _check_rollout_args(z.shape[1], warmup)
     if z.shape[2] != cell.m:
         raise ValueError(f"frame length {z.shape[2]} != m={cell.m}")
-    preds, _ = _forward(_flatten(cell), z, warmup, keep_cache=False)
+    preds, _ = _forward(cell.flat, z, warmup, keep_cache=False)
     return preds
 
 

@@ -109,25 +109,25 @@ def _fd_ae(codec, batch, h=1e-6):
     return grad
 
 
+def _gate_slices(blocks):
+    """The 16 per-gate gradients in a ``w_x``/``w_h``/``b_x``/``b_h``
+    mapping: each stack's i, f, g, o slice, weights then biases."""
+    return [block[k] for block in blocks.values() for k in range(4)]
+
+
 def _fd_lstm(cell, frames, warmup, h=1e-6):
-    out = {}
-    base = cell.params()
-    for name in lstm.PARAM_NAMES:
-        grad = np.zeros_like(base[name])
-        it = np.nditer(base[name], flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            plus = {k: v.copy() for k, v in base.items()}
-            plus[name][idx] += h
-            lp, _ = lstm.loss_and_grad(lstm.cell_from_params(cell.m, plus),
-                                       frames, warmup)
-            minus = {k: v.copy() for k, v in base.items()}
-            minus[name][idx] -= h
-            lm, _ = lstm.loss_and_grad(lstm.cell_from_params(cell.m, minus),
-                                       frames, warmup)
-            grad[idx] = (lp - lm) / (2.0 * h)
-        out[name] = grad
-    return out
+    """Central differences in every entry of ``cell.flat``, per gate."""
+    grad = np.zeros_like(cell.flat)
+    for k in range(grad.size):
+        plus = cell.flat.copy()
+        plus[k] += h
+        lp, _ = lstm.loss_and_grad(lstm.LstmCell(cell.m, plus), frames, warmup)
+        minus = cell.flat.copy()
+        minus[k] -= h
+        lm, _ = lstm.loss_and_grad(lstm.LstmCell(cell.m, minus), frames,
+                                   warmup)
+        grad[k] = (lp - lm) / (2.0 * h)
+    return _gate_slices(lstm.LstmCell(cell.m, grad).params())
 
 
 def test_criterion_3_gradient_fidelity():
@@ -148,17 +148,14 @@ def test_criterion_3_gradient_fidelity():
         m = rng.randint(3) + 1
         t_len = rng.randint(4) + 2
         warmup = rng.randint(t_len - 1) + 1
-        cell = lstm.init_cell(m, seed=rng.next_u64())
-        params = cell.params()
-        for name in lstm.BIAS_NAMES:
-            params[name] = rng.uniform_matrix(1, m, -0.5, 0.5)[0]
-        cell = lstm.cell_from_params(m, params)
+        flat = lstm.init_cell(m, seed=rng.next_u64()).flat
+        flat[8 * m * m:] = rng.uniform_matrix(8, m, -0.5, 0.5).ravel()
+        cell = lstm.LstmCell(m, flat)
         frames = rng.uniform_matrix(t_len, m, -1.5, 1.5)
         _, grads = lstm.loss_and_grad(cell, frames, warmup)
         fd = _fd_lstm(cell, frames, warmup)
-        for name in lstm.PARAM_NAMES:
-            worst_lstm = max(worst_lstm,
-                             _max_rel_error(grads[name], fd[name]))
+        for got, want in zip(_gate_slices(grads), fd, strict=True):
+            worst_lstm = max(worst_lstm, _max_rel_error(got, want))
     elapsed = time.perf_counter() - start
     ok = worst_ae < 1e-4 and worst_lstm < 1e-4 and elapsed < 30.0
     assert _verdict(3, "analytic gradients vs central differences", ok,

@@ -3,6 +3,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -103,7 +104,7 @@ class TestConfig:
         ("train_fraction", None), ("keep_fraction", "0.5"),
         ("grad_clip", True), ("latent_scale", True),
         ("dump_predictions", "no"), ("dump_predictions", 1),
-        ("codec_cache_dir", 5),
+        ("codec_cache_dir", 5), ("out_dir", 5),
     ])
     def test_malformed_integers_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
@@ -127,6 +128,23 @@ class TestConfig:
     def test_malformed_dataset_fields_rejected(self, block, label):
         config = harness.config_from_dict(_tiny_config(dataset=block))
         with pytest.raises(ValueError, match=f"{label} must be"):
+            harness.build_dataset(config)
+
+    @pytest.mark.parametrize("block, message", [
+        ({"type": "file"}, "dataset is missing key 'path'"),
+        ({"type": "csv", "frames": 6}, "dataset is missing key 'path'"),
+        ({**_crop_block(), "source": {"type": "stl10"}},
+         "dataset source is missing key 'path'"),
+        # an integer path would open that file descriptor
+        ({"type": "file", "path": 5}, "dataset path must be a string, got 5"),
+        ({"type": "csv", "path": None},
+         "dataset path must be a string, got None"),
+        ({**_crop_block(), "source": {"type": "stl10", "path": ["x"]}},
+         "dataset source path must be a string, got ['x']"),
+    ])
+    def test_dataset_path_checked(self, block, message):
+        config = harness.config_from_dict(_tiny_config(dataset=block))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             harness.build_dataset(config)
 
     @pytest.mark.parametrize("grad_clip", [-1.0, 0.0, float("nan")])
@@ -685,6 +703,31 @@ class TestCli:
                          "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_out_dir_exits_before_any_work(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # no --out, so the config's out_dir would name the output directory
+        monkeypatch.chdir(tmp_path)
+        cfg_path = self._write_config(tmp_path, _tiny_config(out_dir=5))
+        assert cli.main(["reconstruct", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "out_dir" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("raw, seed", [
+        (5, None), (None, None), ([1, 2], "3"), ([1, 2], None),
+    ])
+    def test_non_object_config_exits_nonzero(self, tmp_path, capsys, raw,
+                                             seed):
+        cfg_path = self._write_config(tmp_path, raw)
+        argv = ["reconstruct", "--config", cfg_path,
+                "--out", str(tmp_path / "out")]
+        if seed is not None:
+            argv += ["--seed", seed]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config must be an object, got {raw!r}\n"
         assert not (tmp_path / "out").exists()
 
     def test_oversized_csv_field_is_a_one_line_error(self, tmp_path, capsys):

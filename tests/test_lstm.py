@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,35 +9,52 @@ from gtslatent import lstm
 from gtslatent.optim import TrainSchedule, adam_step, schedule_at
 from gtslatent.rng import Rng
 
+# The per-gate names the reference kernel reads: weights (w) and biases
+# (b) on the input (i) or the hidden state (h), for gates i, f, g, o.
+# In this order they are the gate slices of ``cell.flat`` back to back.
+PARAM_NAMES = tuple(f"{kind}_{side}{gate}" for kind in "wb" for side in "ih"
+                    for gate in "ifgo")
+
+
+def _per_gate(blocks):
+    """The 16 gate slices of a ``w_x``/``w_h``/``b_x``/``b_h`` mapping, as
+    views keyed ``w_ii`` .. ``b_ho``: (m, m) weights, length-m biases."""
+    w_x, w_h, b_x, b_h = blocks.values()
+    return dict(zip(PARAM_NAMES, [*w_x, *w_h, *b_x[:, 0], *b_h[:, 0]],
+                    strict=True))
+
+
+def _gates(cell):
+    return SimpleNamespace(**_per_gate(cell.params()))
+
+
+def _cell(m, params):
+    """A cell from the 16 per-gate tensors, keyed by ``PARAM_NAMES``."""
+    return lstm.LstmCell(m, np.concatenate([np.ravel(params[name])
+                                            for name in PARAM_NAMES]))
+
 
 def _random_cell(m, seed, bias_scale=0.5):
     rng = Rng(seed)
-    cell = lstm.init_cell(m, seed=rng.next_u64())
-    params = cell.params()
-    for name in lstm.BIAS_NAMES:
-        params[name] = rng.uniform_matrix(1, m, -bias_scale, bias_scale)[0]
-    return lstm.cell_from_params(m, params)
+    flat = lstm.init_cell(m, seed=rng.next_u64()).flat
+    biases = rng.uniform_matrix(8, m, -bias_scale, bias_scale)
+    flat[8 * m * m:] = biases.ravel()
+    return lstm.LstmCell(m, flat)
 
 
 def _fd_grads(cell, frames, warmup, h=1e-6):
-    out = {}
-    base = cell.params()
-    for name in lstm.PARAM_NAMES:
-        grad = np.zeros_like(base[name])
-        it = np.nditer(base[name], flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            plus = {k: v.copy() for k, v in base.items()}
-            plus[name][idx] += h
-            lp, _ = lstm.loss_and_grad(lstm.cell_from_params(cell.m, plus),
-                                       frames, warmup)
-            minus = {k: v.copy() for k, v in base.items()}
-            minus[name][idx] -= h
-            lm, _ = lstm.loss_and_grad(lstm.cell_from_params(cell.m, minus),
-                                       frames, warmup)
-            grad[idx] = (lp - lm) / (2.0 * h)
-        out[name] = grad
-    return out
+    """Central differences in every entry of ``cell.flat``, per gate."""
+    grad = np.zeros_like(cell.flat)
+    for k in range(grad.size):
+        plus = cell.flat.copy()
+        plus[k] += h
+        lp, _ = lstm.loss_and_grad(lstm.LstmCell(cell.m, plus), frames, warmup)
+        minus = cell.flat.copy()
+        minus[k] -= h
+        lm, _ = lstm.loss_and_grad(lstm.LstmCell(cell.m, minus), frames,
+                                   warmup)
+        grad[k] = (lp - lm) / (2.0 * h)
+    return _per_gate(lstm._named(grad, cell.m))
 
 
 def _reference_sigmoid(z):
@@ -48,6 +67,7 @@ def _reference_forward(cell, batch, warmup):
     Returns (predictions, cache), one ``(x, h, c, i, f, g, o, tanh(c_new))``
     cache tuple per step.
     """
+    p = _gates(cell)
     bsz, t_total, m = batch.shape
     h = np.zeros((bsz, m))
     c = np.zeros((bsz, m))
@@ -56,14 +76,14 @@ def _reference_forward(cell, batch, warmup):
     with np.errstate(over="ignore"):
         for k in range(t_total - 1):
             x = batch[:, k, :] if k < warmup else preds[:, k - 1, :]
-            i = _reference_sigmoid(x @ cell.w_ii.T + cell.b_ii
-                                   + h @ cell.w_hi.T + cell.b_hi)
-            f = _reference_sigmoid(x @ cell.w_if.T + cell.b_if
-                                   + h @ cell.w_hf.T + cell.b_hf)
-            g = np.tanh(x @ cell.w_ig.T + cell.b_ig + h @ cell.w_hg.T
-                        + cell.b_hg)
-            o = _reference_sigmoid(x @ cell.w_io.T + cell.b_io
-                                   + h @ cell.w_ho.T + cell.b_ho)
+            i = _reference_sigmoid(x @ p.w_ii.T + p.b_ii
+                                   + h @ p.w_hi.T + p.b_hi)
+            f = _reference_sigmoid(x @ p.w_if.T + p.b_if
+                                   + h @ p.w_hf.T + p.b_hf)
+            g = np.tanh(x @ p.w_ig.T + p.b_ig + h @ p.w_hg.T
+                        + p.b_hg)
+            o = _reference_sigmoid(x @ p.w_io.T + p.b_io
+                                   + h @ p.w_ho.T + p.b_ho)
             c_new = f * c + i * g
             tc = np.tanh(c_new)
             h_new = o * tc
@@ -76,6 +96,7 @@ def _reference_forward(cell, batch, warmup):
 def _reference_backward(cell, warmup, preds, cache, dpreds, grads):
     """The per-gate BPTT that ``lstm._backward`` runs on gate blocks;
     adds into ``grads``, one array per parameter name."""
+    p = _gates(cell)
     steps = preds.shape[1]
     dh_carry = np.zeros_like(preds[:, 0, :])
     dc_carry = np.zeros_like(dh_carry)
@@ -112,11 +133,11 @@ def _reference_backward(cell, warmup, preds, cache, dpreds, grads):
         grads["b_io"] += so
         grads["b_ho"] += so
 
-        dh_carry = (dai @ cell.w_hi + daf @ cell.w_hf
-                    + dag @ cell.w_hg + dao @ cell.w_ho)
+        dh_carry = (dai @ p.w_hi + daf @ p.w_hf
+                    + dag @ p.w_hg + dao @ p.w_ho)
         if k >= warmup:
-            dx = (dai @ cell.w_ii + daf @ cell.w_if
-                  + dag @ cell.w_ig + dao @ cell.w_io)
+            dx = (dai @ p.w_ii + daf @ p.w_if
+                  + dag @ p.w_ig + dao @ p.w_io)
             dh_carry = dh_carry + dx
 
 
@@ -125,7 +146,7 @@ def _reference_loss_and_grads(cell, batch, warmup):
     preds, cache = _reference_forward(cell, batch, warmup)
     diff = preds - batch[:, 1:, :]
     loss = float(np.mean(diff * diff))
-    grads = {k: np.zeros_like(v) for k, v in cell.params().items()}
+    grads = {k: np.zeros_like(v) for k, v in _per_gate(cell.params()).items()}
     _reference_backward(cell, warmup, preds, cache, (2.0 / diff.size) * diff,
                         grads)
     return loss, preds, cache, grads
@@ -136,7 +157,7 @@ def _reference_train(cell, seqs, schedule, warmup, seed, grad_clip=None):
     kernel with fresh gradient arrays, and one textbook Adam step per
     parameter tensor."""
     rng = Rng(seed)
-    params = {k: v.copy() for k, v in cell.params().items()}
+    params = {k: v.copy() for k, v in _per_gate(cell.params()).items()}
     moments = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in params.items()}
     t, history = 0, []
     for epoch in range(schedule.epochs):
@@ -146,7 +167,7 @@ def _reference_train(cell, seqs, schedule, warmup, seed, grad_clip=None):
         total = 0.0
         for start in range(0, len(order), schedule.batch_size):
             chunk = order[start:start + schedule.batch_size]
-            current = lstm.cell_from_params(cell.m, params)
+            current = _cell(cell.m, params)
             loss, _, _, grads = _reference_loss_and_grads(current, seqs[chunk],
                                                           warmup)
             if grad_clip is not None:
@@ -154,7 +175,7 @@ def _reference_train(cell, seqs, schedule, warmup, seed, grad_clip=None):
                 if norm > grad_clip:
                     grads = {k: g * (grad_clip / norm) for k, g in grads.items()}
             t += 1
-            for name in lstm.PARAM_NAMES:
+            for name in PARAM_NAMES:
                 m, v = moments[name]
                 g = grads[name] + wd * params[name]
                 m = 0.9 * m + (1.0 - 0.9) * g
@@ -169,13 +190,11 @@ def _reference_train(cell, seqs, schedule, warmup, seed, grad_clip=None):
 
 def _reference_step(cell, x, h, c):
     """One gate update of a single sequence, written out per gate."""
-    i = 1.0 / (1.0 + np.exp(-(cell.w_ii @ x + cell.b_ii + cell.w_hi @ h
-                              + cell.b_hi)))
-    f = 1.0 / (1.0 + np.exp(-(cell.w_if @ x + cell.b_if + cell.w_hf @ h
-                              + cell.b_hf)))
-    g = np.tanh(cell.w_ig @ x + cell.b_ig + cell.w_hg @ h + cell.b_hg)
-    o = 1.0 / (1.0 + np.exp(-(cell.w_io @ x + cell.b_io + cell.w_ho @ h
-                              + cell.b_ho)))
+    p = _gates(cell)
+    i = 1.0 / (1.0 + np.exp(-(p.w_ii @ x + p.b_ii + p.w_hi @ h + p.b_hi)))
+    f = 1.0 / (1.0 + np.exp(-(p.w_if @ x + p.b_if + p.w_hf @ h + p.b_hf)))
+    g = np.tanh(p.w_ig @ x + p.b_ig + p.w_hg @ h + p.b_hg)
+    o = 1.0 / (1.0 + np.exp(-(p.w_io @ x + p.b_io + p.w_ho @ h + p.b_ho)))
     c_new = f * c + i * g
     return o * np.tanh(c_new), c_new
 
@@ -197,36 +216,70 @@ def _states(cell, frames, warmup):
     Read back from the forward pass's cache, whose step k holds the
     state it started from and the (4, B, m) block of its gates.
     """
-    preds, cache = lstm._forward(lstm._flatten(cell), frames[None], warmup,
+    preds, cache = lstm._forward(cell.flat, frames[None], warmup,
                                  keep_cache=True)
     cs = np.array([f * c + i * g for _, _, c, (i, f, g, _), _ in cache])
     return preds[0], cs[:, 0, :]
 
 
 def _zero_cell(m):
-    return lstm.cell_from_params(m, {
-        **{k: np.zeros((m, m)) for k in lstm.WEIGHT_NAMES},
-        **{k: np.zeros(m) for k in lstm.BIAS_NAMES},
-    })
+    return lstm.LstmCell(m, np.zeros(8 * m * (m + 1)))
 
 
 class TestInit:
     def test_deterministic(self):
         a = lstm.init_cell(3, seed=1)
         b = lstm.init_cell(3, seed=1)
-        for name in lstm.PARAM_NAMES:
-            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert np.array_equal(a.flat, b.flat)
+
+    def test_weights_are_successive_gate_draws(self):
+        # one (8m, m) draw is the eight (m, m) per-gate draws in a row
+        m, bound = 5, 1.0 / np.sqrt(5)
+        rng = Rng(3)
+        draws = [rng.uniform_matrix(m, m, -bound, bound) for _ in range(8)]
+        weights = lstm.init_cell(m, seed=3).flat[:8 * m * m]
+        assert weights.tobytes() == np.concatenate(draws, axis=None).tobytes()
 
     def test_biases_zero_weights_bounded(self):
         cell = lstm.init_cell(9, seed=2)
-        for name in lstm.BIAS_NAMES:
-            assert np.array_equal(getattr(cell, name), np.zeros(9))
-        for name in lstm.WEIGHT_NAMES:
-            assert np.max(np.abs(getattr(cell, name))) <= 1.0 / 3.0
+        params = cell.params()
+        for name in ("b_x", "b_h"):
+            assert np.array_equal(params[name], np.zeros((4, 1, 9)))
+        for name in ("w_x", "w_h"):
+            assert np.max(np.abs(params[name])) <= 1.0 / 3.0
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             lstm.init_cell(0, seed=1)
+
+
+class TestCell:
+    @pytest.mark.parametrize("flat, match", [
+        (np.zeros(47), "flat length 47 != 8m\\(m\\+1\\) = 48"),
+        (np.zeros((1, 48)), "flat must be 1-D"),
+        (np.full(48, np.nan), "flat contains non-finite entries"),
+        (np.full(48, np.inf), "flat contains non-finite entries"),
+    ])
+    def test_rejects_bad_buffer(self, flat, match):
+        with pytest.raises(ValueError, match=match):
+            lstm.LstmCell(2, flat)
+
+    def test_rejects_bad_m(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            lstm.LstmCell(0, np.zeros(0))
+
+    def test_params_are_views_of_the_buffer(self):
+        cell = _random_cell(3, seed=1)
+        params = cell.params()
+        assert list(params) == ["w_x", "w_h", "b_x", "b_h"]
+        assert [v.shape for v in params.values()] == [(4, 3, 3), (4, 3, 3),
+                                                      (4, 1, 3), (4, 1, 3)]
+        assert all(np.shares_memory(v, cell.flat) for v in params.values())
+        assert np.concatenate(list(params.values()), axis=None).tobytes() \
+            == cell.flat.tobytes()
+        strided = lstm.LstmCell(1, np.zeros(32)[::2])
+        assert all(np.shares_memory(v, strided.flat)
+                   for v in strided.params().values())
 
 
 class TestStep:
@@ -243,9 +296,9 @@ class TestStep:
         # g = tanh(b_ig), so the first step leaves c_1 = g / 2 != 0 and
         # the second must keep half of it
         m = 2
-        params = _zero_cell(m).params()
+        params = _per_gate(_zero_cell(m).params())
         params["b_ig"] = np.array([1.2, -0.4])
-        cell = lstm.cell_from_params(m, params)
+        cell = _cell(m, params)
         h, c = _states(cell, np.zeros((3, m)), warmup=2)
         g = np.tanh(params["b_ig"])
         assert np.max(np.abs(c[1] - (0.5 * c[0] + 0.5 * g))) < 1e-15
@@ -254,10 +307,7 @@ class TestStep:
 
     def test_scalar_oracle(self):
         # m=1, every weight and bias 0.1, x=1, state zero
-        cell = lstm.cell_from_params(1, {
-            **{k: np.array([[0.1]]) for k in lstm.WEIGHT_NAMES},
-            **{k: np.array([0.1]) for k in lstm.BIAS_NAMES},
-        })
+        cell = lstm.LstmCell(1, np.full(16, 0.1))
         h, c = _states(cell, np.array([[1.0], [0.0]]), warmup=1)
         pre = 0.1 * 1.0 + 0.1 + 0.1 * 0.0 + 0.1  # = 0.3 for every gate
         sig = 1.0 / (1.0 + math.exp(-pre))
@@ -339,15 +389,16 @@ class TestLossAndGrad:
         cell = _random_cell(2, seed=12, bias_scale=0.0)
         loss, grads = lstm.loss_and_grad(cell, np.zeros((4, 2)), warmup=2)
         assert loss == 0.0
-        for name in lstm.PARAM_NAMES:
-            assert np.array_equal(grads[name], np.zeros_like(grads[name]))
+        for g in grads.values():
+            assert np.array_equal(g, np.zeros_like(g))
 
     def test_gradcheck_small_instance(self):
         cell = _random_cell(1, seed=13)
         frames = Rng(14).uniform_matrix(3, 1, -1.0, 1.0)
         _, grads = lstm.loss_and_grad(cell, frames, warmup=1)
+        grads = _per_gate(grads)
         fd = _fd_grads(cell, frames, warmup=1)
-        for name in lstm.PARAM_NAMES:
+        for name in PARAM_NAMES:
             denom = max(np.max(np.abs(fd[name])), np.max(np.abs(grads[name])),
                         1e-6)
             assert np.max(np.abs(grads[name] - fd[name])) / denom < 1e-4
@@ -363,8 +414,9 @@ class TestLossAndGrad:
             cell = _random_cell(m, seed=rng.next_u64())
             frames = rng.uniform_matrix(t_len, m, -1.5, 1.5)
             _, grads = lstm.loss_and_grad(cell, frames, warmup)
+            grads = _per_gate(grads)
             fd = _fd_grads(cell, frames, warmup)
-            for name in lstm.PARAM_NAMES:
+            for name in PARAM_NAMES:
                 denom = max(np.max(np.abs(fd[name])),
                             np.max(np.abs(grads[name])), 1e-6)
                 rel = np.max(np.abs(grads[name] - fd[name])) / denom
@@ -385,8 +437,9 @@ class TestTrain:
         seqs = Rng(18).uniform_matrix(12, 2, -1, 1).reshape(3, 4, 2)
         sched = TrainSchedule(epochs=0, batch_size=2, lr0=0.01)
         out, history = lstm.train(cell, seqs, sched, warmup=2, seed=19)
-        for name in lstm.PARAM_NAMES:
-            assert np.array_equal(getattr(out, name), getattr(cell, name))
+        assert np.array_equal(out.flat, cell.flat)
+        assert out.flat.flags.owndata
+        assert not np.shares_memory(out.flat, cell.flat)
         assert history.shape == (0,)
 
     def test_training_improves_constant_sequences(self):
@@ -455,7 +508,7 @@ class TestTrain:
         seqs = Rng(5).uniform_matrix(24, 3, -1, 1).reshape(4, 6, 3)
         sched = TrainSchedule(epochs=3, batch_size=2, lr0=1e308)
         with np.errstate(all="ignore"), pytest.raises(
-                ValueError, match="w_ii contains non-finite entries"):
+                ValueError, match="w_x contains non-finite entries"):
             lstm.train(cell, seqs, sched, warmup=2, seed=6)
         # no step is taken after the first one that left a non-finite entry
         assert steps.index(False) == len(steps) - 1 < 6
@@ -473,19 +526,19 @@ class TestTrain:
                                       grad_clip=grad_clip)
         params, expect = _reference_train(cell, seqs, sched, 3, 36, grad_clip)
         assert np.array_equal(history, expect)
-        for name in lstm.PARAM_NAMES:
-            assert np.array_equal(getattr(trained, name), params[name]), name
+        got = _per_gate(trained.params())
+        for name in PARAM_NAMES:
+            assert np.array_equal(got[name], params[name]), name
 
     def test_returned_cell_owns_its_parameters(self):
         cell = lstm.init_cell(2, seed=37)
         seqs = Rng(38).uniform_matrix(12, 2, -1, 1).reshape(3, 4, 2)
         sched = TrainSchedule(epochs=1, batch_size=2, lr0=0.01)
+        before = cell.flat.copy()
         out, _ = lstm.train(cell, seqs, sched, warmup=2, seed=39)
-        arrays = [getattr(out, name) for name in lstm.PARAM_NAMES]
-        for k, arr in enumerate(arrays):
-            assert arr.flags.owndata
-            assert not any(np.shares_memory(arr, other)
-                           for other in arrays[k + 1:])
+        assert out.flat.flags.owndata
+        assert not np.shares_memory(out.flat, cell.flat)
+        assert np.array_equal(cell.flat, before)
 
 
 class TestRollout:
@@ -497,6 +550,18 @@ class TestRollout:
         for k in range(4):
             expect = _reference_run(cell, seqs[k], warmup=2)
             assert np.max(np.abs(preds[k] - expect)) < 1e-14
+
+    def test_peak_memory_below_the_cell(self):
+        # the kernel reads the cell's own buffer: no per-call copy of it
+        cell = lstm.init_cell(256, seed=43)
+        batch = Rng(44).uniform_matrix(3, 256, -1, 1).reshape(1, 3, 256)
+        tracemalloc.start()
+        try:
+            lstm.rollout(cell, batch, warmup=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cell.flat.nbytes
 
     def test_validation(self):
         cell = lstm.init_cell(2, seed=42)
@@ -552,7 +617,7 @@ class TestGateBlockKernel:
         loss, preds, cache, grads = _reference_loss_and_grads(cell, batch,
                                                               warmup)
 
-        flat = lstm._flatten(cell)
+        flat = cell.flat
         got_loss, got_preds, got_cache, dpreds = lstm._batch_loss(flat, batch,
                                                                   warmup)
         gflat = np.zeros_like(flat)
@@ -565,8 +630,8 @@ class TestGateBlockKernel:
             for name, a, b in zip(("x", "h", "c", "i", "f", "g", "o", "tc"),
                                   (x, h, c, i, f, g, o, tc), ref):
                 assert _same_bits(a, b), (step, name)
-        got_grads = lstm._views(gflat, cell.params())
-        for name in lstm.PARAM_NAMES:
+        got_grads = _per_gate(lstm._named(gflat, m))
+        for name in PARAM_NAMES:
             assert _same_bits(got_grads[name], grads[name]), name
 
         assert _same_bits(lstm.rollout(cell, batch, warmup), preds)
@@ -574,5 +639,6 @@ class TestGateBlockKernel:
             public_loss, public_grads = lstm.loss_and_grad(cell, batch[0],
                                                            warmup)
             assert public_loss == loss
-            for name in lstm.PARAM_NAMES:
+            public_grads = _per_gate(public_grads)
+            for name in PARAM_NAMES:
                 assert _same_bits(public_grads[name], grads[name]), name
