@@ -26,14 +26,15 @@ both paths give bit-identical reports.
 
 from __future__ import annotations
 
+import dataclasses
 import html
 import json
+import math
 import numbers
-import operator
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,34 +73,35 @@ def _stream(seed: int, tag: int, *indices: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    dataset: dict
+    """A checked config; :func:`config_from_dict` builds it from JSON."""
+    dataset: dict    # raw dataset block, checked by build_dataset
     methods: tuple
     latent_dims: tuple
     seed: int
-    ae_schedule: TrainSchedule | None = None
-    lstm_schedule: TrainSchedule | None = None
-    train_fraction: float = 0.7
-    warmup: int = 10
-    keep_fraction: float = graphs.DEFAULT_KEEP_FRACTION
-    grad_clip: float | None = None
-    latent_scale: float | str | None = None
-    codec_cache_dir: str | None = None
-    dump_predictions: bool = False
-    source: dict = field(default_factory=dict)  # raw config echo
+    ae_schedule: TrainSchedule | None
+    lstm_schedule: TrainSchedule | None
+    train_fraction: float
+    warmup: int
+    keep_fraction: float
+    grad_clip: float | None
+    latent_scale: float | str | None
+    codec_cache_dir: str | None
+    dump_predictions: bool
+    source: dict     # raw config echo
 
     def __post_init__(self):
         for method in self.methods:
             if method not in METHODS:
-                raise ValueError(
-                    f"unknown method {method!r}; expected one of {METHODS}"
-                )
-        if len(set(self.methods)) != len(self.methods):
-            raise ValueError("duplicate methods in config")
+                raise ValueError(f"unknown method {method!r}; expected one "
+                                 f"of {METHODS}")
         if not self.methods:
             raise ValueError("config needs at least one method")
         for m in self.latent_dims:
             if not isinstance(m, int) or m < 1:
                 raise ValueError(f"latent dimension {m!r} must be a positive int")
+        for name in ("methods", "latent_dims"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise ValueError(f"duplicate {name} in config")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
         if self.warmup < 1:
@@ -107,28 +109,57 @@ class ExperimentConfig:
         if isinstance(self.latent_scale, str):
             if self.latent_scale != "auto":
                 raise ValueError('latent_scale must be a number, "auto" or null')
-        elif self.latent_scale is not None and self.latent_scale <= 0:
-            raise ValueError("latent_scale must be positive")
-        if self.grad_clip is not None and not self.grad_clip > 0:
-            raise ValueError(f"grad_clip must be positive, got "
+        elif (self.latent_scale is not None
+              and not 0.0 < self.latent_scale < math.inf):
+            raise ValueError("latent_scale must be positive and finite")
+        if self.grad_clip is not None and not 0.0 < self.grad_clip < math.inf:
+            raise ValueError(f"grad_clip must be positive and finite, got "
                              f"{self.grad_clip!r}")
 
 
-def _schedule_from_dict(d, label: str) -> TrainSchedule:
-    d = _expect(d, dict, label, "an object")
-    try:
-        return TrainSchedule(
-            epochs=_as_int(d["epochs"], f"{label} epochs"),
-            batch_size=_as_int(d["batch_size"], f"{label} batch_size"),
-            lr0=_as_float(d["lr0"], f"{label} lr0"),
-            lr_milestones=_milestones(d.get("lr_milestones", []),
-                                      f"{label} lr_milestones"),
-            wd0=_as_float(d.get("wd0", 0.0), f"{label} wd0"),
-            wd_milestones=_milestones(d.get("wd_milestones", []),
-                                      f"{label} wd_milestones"),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{label} is missing key {exc}") from exc
+# ---------------------------------------------------------------------------
+# config schema: one key table per block, and no other key is allowed.
+# A row maps a key to (check, default); a check takes (value, label) and
+# returns the value to use, and the default _REQUIRED marks a key the
+# block must give.
+
+_REQUIRED = object()
+
+
+def _as_int(value, label: str) -> int:
+    """``value`` if it is an integer; bools, floats and the rest raise."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{label} must be an integer, got {value!r}")
+
+
+def _as_float(value, label: str) -> float:
+    """``value`` as a float if it is a real number; bools and the rest raise."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{label} must be a number, got {value!r}")
+
+
+def _typed(kind, what: str):
+    """A check that passes a ``kind`` through and says ``what`` otherwise."""
+    def check(value, label):
+        if not isinstance(value, kind):
+            raise ValueError(f"{label} must be {what}, got {value!r}")
+        return value
+    return check
+
+
+def _passing(kind, check):
+    """``check``, except that a ``kind`` passes through unchanged."""
+    return lambda value, label: (value if isinstance(value, kind)
+                                 else check(value, label))
+
+
+def _list_of(check, what: str):
+    """A check for a list whose entries each pass ``check``; a tuple."""
+    check_list = _typed((list, tuple), what)
+    return lambda value, label: tuple(check(v, f"{label} entry")
+                                      for v in check_list(value, label))
 
 
 def _milestones(pairs, label: str) -> tuple:
@@ -140,81 +171,91 @@ def _milestones(pairs, label: str) -> tuple:
                   _as_float(v, f"{label} divisor")) for e, v in pairs)
 
 
-def _schedule_to_dict(s: TrainSchedule) -> dict:
-    return {
-        "epochs": s.epochs,
-        "batch_size": s.batch_size,
-        "lr0": s.lr0,
-        "lr_milestones": [list(ms) for ms in s.lr_milestones],
-        "wd0": s.wd0,
-        "wd_milestones": [list(ms) for ms in s.wd_milestones],
-    }
+def _read_block(block, table: dict, label: str, prefix: str | None = None):
+    """``block``'s values, checked against ``table``, defaults filled in."""
+    block = _object(block, label)
+    unknown = [key for key in block if key not in table]
+    if unknown:
+        raise ValueError(f"{label} has unknown key {unknown[0]!r}; "
+                         f"expected one of {sorted(table)}")
+    prefix = f"{label} " if prefix is None else prefix
+    values = {}
+    for key, (check, value) in table.items():
+        if key in block:
+            value = check(block[key], prefix + key)
+        elif value is _REQUIRED:
+            raise ValueError(f"{label} is missing key {key!r}")
+        values[key] = value
+    return values
 
 
-def _as_int(value, label: str) -> int:
-    """``value`` if it is an integer; bools, floats and the rest raise."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{label} must be an integer, got {value!r}")
+def _read_typed_block(block, tables: dict, label: str,
+                      default_type=None) -> tuple:
+    """(type, values) of a block whose ``type`` key picks its table."""
+    kind = _object(block, label).get("type", default_type)
+    if not (isinstance(kind, str) and kind in tables):
+        raise ValueError(f"unknown {label} type {kind!r}")
+    return kind, _read_block(block, tables[kind], label)
 
 
-def _as_float(value, label: str) -> float:
-    """``value`` as a float if it is a real number; bools and the rest raise."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"{label} must be a number, got {value!r}")
+def _schedule(block, label: str) -> TrainSchedule:
+    return TrainSchedule(**_read_block(block, _SCHEDULE_KEYS, label))
 
 
-def _expect(value, kind, label: str, what: str):
-    """``value`` if it is a ``kind``, else a ValueError saying ``what``."""
-    if not isinstance(value, kind):
-        raise ValueError(f"{label} must be {what}, got {value!r}")
-    return value
+_object = _typed(dict, "an object")
+_string = _typed(str, "a string")
+_path_or_null = _typed((str, type(None)), "a path or null")
+_TYPE = {"type": (_string, None)}  # checked by _read_typed_block
+
+_CONFIG_KEYS = {
+    "dataset": (_object, _REQUIRED),
+    "methods": (_list_of(_string, "a list"), _REQUIRED),
+    "latent_dims": (_list_of(_as_int, "a list of integers"), _REQUIRED),
+    "seed": (_as_int, _REQUIRED),
+    "ae_schedule": (_schedule, None),
+    "lstm_schedule": (_schedule, None),
+    "train_fraction": (_as_float, 0.7),
+    "warmup": (_as_int, 10),
+    "keep_fraction": (_as_float, graphs.DEFAULT_KEEP_FRACTION),
+    "grad_clip": (_passing(type(None), _as_float), None),
+    "latent_scale": (_passing((str, type(None)), _as_float), None),
+    "codec_cache_dir": (_path_or_null, None),
+    "dump_predictions": (_typed(bool, "true or false"), False),
+    "out_dir": (_path_or_null, None),  # read by the CLI
+}
+
+_SCHEDULE_KEYS = {
+    "epochs": (_as_int, _REQUIRED), "batch_size": (_as_int, _REQUIRED),
+    "lr0": (_as_float, _REQUIRED), "lr_milestones": (_milestones, ()),
+    "wd0": (_as_float, 0.0), "wd_milestones": (_milestones, ()),
+}
+
+_DATASET_KEYS = {
+    "moving_crop": {**_TYPE, "source": (_object, {}), "crop": (_as_int, 45),
+                    "frames": (_as_int, 20),
+                    "sequences": (_as_int, None)},  # None: one per image
+    "moving_sprite": {**_TYPE, "canvas": (_as_int, 64),
+                      "sprite": (_as_int, 12), "frames": (_as_int, 20),
+                      "sequences": (_as_int, 100)},
+    "file": {**_TYPE, "path": (_string, _REQUIRED),
+             "meta": (_path_or_null, None)},
+    "csv": {**_TYPE, "path": (_string, _REQUIRED), "frames": (_as_int, 20)},
+}
+
+_SOURCE_KEYS = {
+    "textured": {**_TYPE, "count": (_as_int, None),  # None: the sequences
+                 "height": (_as_int, 96), "width": (_as_int, 96),
+                 "waves": (_as_int, 6), "min_cycles": (_as_float, 1.5),
+                 "max_cycles": (_as_float, 4.0)},
+    "stl10": {**_TYPE, "path": (_string, _REQUIRED)},
+}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a parsed JSON config and build an ExperimentConfig."""
-    for key in ("dataset", "methods", "latent_dims", "seed"):
-        if key not in raw:
-            raise ValueError(f"config is missing required key {key!r}")
-    latent_dims = _expect(raw["latent_dims"], (list, tuple), "latent_dims",
-                          "a list of integers")
-    methods = [_expect(m, str, "methods entry", "a string") for m in
-               _expect(raw["methods"], (list, tuple), "methods", "a list")]
-    ae_sched = (_schedule_from_dict(raw["ae_schedule"], "ae_schedule")
-                if "ae_schedule" in raw else None)
-    lstm_sched = (_schedule_from_dict(raw["lstm_schedule"], "lstm_schedule")
-                  if "lstm_schedule" in raw else None)
-    _expect(raw.get("out_dir"), (str, type(None)), "out_dir", "a path or null")
-    return ExperimentConfig(
-        dataset=dict(_expect(raw["dataset"], dict, "dataset", "an object")),
-        methods=tuple(methods),
-        latent_dims=tuple(_as_int(m, "latent_dims entry")
-                          for m in latent_dims),
-        seed=_as_int(raw["seed"], "seed"),
-        ae_schedule=ae_sched,
-        lstm_schedule=lstm_sched,
-        train_fraction=_as_float(raw.get("train_fraction", 0.7),
-                                 "train_fraction"),
-        warmup=_as_int(raw.get("warmup", 10), "warmup"),
-        keep_fraction=_as_float(raw.get("keep_fraction",
-                                        graphs.DEFAULT_KEEP_FRACTION),
-                                "keep_fraction"),
-        grad_clip=(_as_float(raw["grad_clip"], "grad_clip")
-                   if raw.get("grad_clip") is not None else None),
-        latent_scale=(raw["latent_scale"]
-                      if isinstance(raw.get("latent_scale"), str)
-                      else _as_float(raw["latent_scale"], "latent_scale")
-                      if raw.get("latent_scale") is not None else None),
-        codec_cache_dir=_expect(raw.get("codec_cache_dir"), (str, type(None)),
-                                "codec_cache_dir", "a path or null"),
-        dump_predictions=_expect(raw.get("dump_predictions", False), bool,
-                                 "dump_predictions", "true or false"),
-        source=dict(raw),
-    )
+    values = _read_block(raw, _CONFIG_KEYS, "config", prefix="")
+    del values["out_dir"]
+    return ExperimentConfig(**values, source=dict(raw))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -234,63 +275,39 @@ def config_hash(config: ExperimentConfig) -> str:
 
 def build_dataset(config: ExperimentConfig) -> data.SequenceDataset:
     """Generate or load the dataset described by the config."""
-    block = config.dataset
-    kind = block.get("type")
+    kind, block = _read_typed_block(config.dataset, _DATASET_KEYS, "dataset")
     seed = _stream(config.seed, _STREAM_DATA)
     if kind == "moving_crop":
-        images = _build_images(block.get("source", {}), block, seed)
+        images = _build_images(block["source"], block["sequences"], seed)
+        count = block["sequences"]
         return data.generate_moving_crop_dataset(
-            images,
-            crop=_as_int(block.get("crop", 45), "dataset crop"),
-            frames_per_sequence=_as_int(block.get("frames", 20),
-                                        "dataset frames"),
-            count=_as_int(block.get("sequences", images.count),
-                          "dataset sequences"),
-            seed=seed,
-        )
+            images, crop=block["crop"], frames_per_sequence=block["frames"],
+            count=images.count if count is None else count, seed=seed)
     if kind == "moving_sprite":
         return data.generate_moving_sprite_dataset(
-            canvas=_as_int(block.get("canvas", 64), "dataset canvas"),
-            sprite=_as_int(block.get("sprite", 12), "dataset sprite"),
-            frames_per_sequence=_as_int(block.get("frames", 20),
-                                        "dataset frames"),
-            count=_as_int(block.get("sequences", 100), "dataset sequences"),
-            seed=seed,
-        )
+            canvas=block["canvas"], sprite=block["sprite"],
+            frames_per_sequence=block["frames"], count=block["sequences"],
+            seed=seed)
     if kind == "file":
-        return load_dataset(_path(block, "dataset"), block.get("meta"))
-    if kind == "csv":
-        series = data.load_csv_series(_path(block, "dataset"))
-        return data.sequences_from_series(
-            series, _as_int(block.get("frames", 20), "dataset frames"))
-    raise ValueError(f"unknown dataset type {kind!r}")
+        return load_dataset(block["path"], block["meta"])
+    return data.sequences_from_series(data.load_csv_series(block["path"]),
+                                      block["frames"])
 
 
-def _path(block: dict, label: str) -> str:
-    if "path" not in block:
-        raise ValueError(f"{label} is missing key 'path'")
-    return _expect(block["path"], str, f"{label} path", "a string")
-
-
-def _build_images(source: dict, block: dict, seed: int) -> data.ImageSet:
-    kind = source.get("type", "textured")
+def _build_images(source: dict, sequences: int | None,
+                  seed: int) -> data.ImageSet:
+    """The images a moving-crop dataset of ``sequences`` crops is cut from."""
+    kind, source = _read_typed_block(source, _SOURCE_KEYS, "dataset source",
+                                     default_type="textured")
     if kind == "stl10":
-        return data.load_stl10(_path(source, "dataset source"))
-    if kind == "textured":
-        return data.generate_textured_images(
-            count=_as_int(source.get("count", block.get("sequences", 100)),
-                          "dataset source count" if "count" in source
-                          else "dataset sequences"),
-            height=_as_int(source.get("height", 96), "dataset source height"),
-            width=_as_int(source.get("width", 96), "dataset source width"),
-            seed=derive_seed(seed, 0),
-            waves=_as_int(source.get("waves", 6), "dataset source waves"),
-            min_cycles=_as_float(source.get("min_cycles", 1.5),
-                                 "dataset source min_cycles"),
-            max_cycles=_as_float(source.get("max_cycles", 4.0),
-                                 "dataset source max_cycles"),
-        )
-    raise ValueError(f"unknown image source type {kind!r}")
+        return data.load_stl10(source["path"])
+    count = source["count"]
+    if count is None:
+        count = 100 if sequences is None else sequences
+    return data.generate_textured_images(
+        count=count, height=source["height"], width=source["width"],
+        seed=derive_seed(seed, 0), waves=source["waves"],
+        min_cycles=source["min_cycles"], max_cycles=source["max_cycles"])
 
 
 def save_dataset(dataset: data.SequenceDataset, out_dir) -> dict:
@@ -355,7 +372,7 @@ def _cache_file(config, kind: str, n: int, m: int) -> Path | None:
         "kind": kind,
     }
     if kind == "ae":
-        relevant["ae_schedule"] = (_schedule_to_dict(config.ae_schedule)
+        relevant["ae_schedule"] = (dataclasses.asdict(config.ae_schedule)
                                    if config.ae_schedule else None)
     else:
         relevant["basis_format"] = _BASIS_FORMAT
@@ -554,44 +571,24 @@ class Report:
     cells: list
 
 
+#: the report JSON keys of a cell: every field but the array
+_CELL_KEYS = tuple(f.name for f in dataclasses.fields(ReportCell)
+                   if f.name != "sample_prediction")
+
+
 def report_to_dict(report: Report) -> dict:
-    return {
-        "kind": report.kind,
-        "seed": report.seed,
-        "config": report.config,
-        "config_hash": report.config_hash,
-        "wall_time_s": report.wall_time_s,
-        "cells": [
-            {
-                "method": cell.method,
-                "m": cell.m,
-                "recon_mse": cell.recon_mse,
-                "pred_mse": cell.pred_mse,
-                "ae_loss_history": cell.ae_loss_history,
-                "lstm_loss_history": cell.lstm_loss_history,
-                "eig_gap": cell.eig_gap,
-                "eig_multiplicity": cell.eig_multiplicity,
-            }
-            for cell in report.cells
-        ],
-    }
+    d = {f.name: getattr(report, f.name) for f in dataclasses.fields(Report)}
+    d["cells"] = [{key: getattr(cell, key) for key in _CELL_KEYS}
+                  for cell in report.cells]
+    return d
 
 
 def report_from_dict(d: dict) -> Report:
-    return Report(
-        kind=d["kind"],
-        seed=d["seed"],
-        config=d["config"],
-        config_hash=d["config_hash"],
-        wall_time_s=d["wall_time_s"],
-        cells=[ReportCell(method=c["method"], m=c["m"],
-                          recon_mse=c["recon_mse"], pred_mse=c["pred_mse"],
-                          ae_loss_history=c["ae_loss_history"],
-                          lstm_loss_history=c["lstm_loss_history"],
-                          eig_gap=c.get("eig_gap"),
-                          eig_multiplicity=c.get("eig_multiplicity"))
-               for c in d["cells"]],
-    )
+    """A Report from its JSON; keys older reports lack take defaults."""
+    cells = [ReportCell(**{key: c[key] for key in _CELL_KEYS if key in c})
+             for c in d["cells"]]
+    return Report(**{f.name: d[f.name] for f in dataclasses.fields(Report)
+                     if f.name != "cells"}, cells=cells)
 
 
 def _dims_for(config: ExperimentConfig, method: str, n: int) -> list:

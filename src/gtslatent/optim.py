@@ -8,6 +8,7 @@ that epoch onward, inclusive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +84,9 @@ def _check_milestones(milestones, label):
         epoch, divisor = entry
         if epoch <= last:
             raise ValueError(f"{label} milestone epochs must be strictly increasing")
-        if divisor <= 0:
-            raise ValueError(f"{label} milestone divisors must be positive")
+        if not 0.0 < divisor < math.inf:
+            raise ValueError(f"{label} milestone divisors must be positive "
+                             f"and finite, got {divisor!r}")
         last = epoch
 
 
@@ -104,10 +106,12 @@ class TrainSchedule:
             raise ValueError("epochs must be nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.lr0 <= 0.0:
-            raise ValueError("lr0 must be positive")
-        if self.wd0 < 0.0:
-            raise ValueError("wd0 must be nonnegative")
+        if not 0.0 < self.lr0 < math.inf:
+            raise ValueError(f"lr0 must be positive and finite, got "
+                             f"{self.lr0!r}")
+        if not 0.0 <= self.wd0 < math.inf:
+            raise ValueError(f"wd0 must be nonnegative and finite, got "
+                             f"{self.wd0!r}")
         object.__setattr__(self, "lr_milestones",
                            tuple((int(e), float(d)) for e, d in self.lr_milestones))
         object.__setattr__(self, "wd_milestones",

@@ -159,6 +159,148 @@ class TestConfig:
         assert harness.config_hash(a) == harness.config_hash(b)
 
 
+def _read_config_and_dataset(cfg):
+    """config_from_dict, then build_dataset: every check a run makes first."""
+    harness.build_dataset(harness.config_from_dict(cfg))
+
+
+def _crop_source(**source):
+    return {**_crop_block(), "source": source}
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("cfg, label, key", [
+        # the three misspellings that used to run with defaults instead
+        (_tiny_config(lstm_shedule=_schedule()), "config", "lstm_shedule"),
+        (_tiny_config(lstm_schedule=_schedule(lr_milestone=[[1, 10]])),
+         "lstm_schedule", "lr_milestone"),
+        (_tiny_config(dataset=_crop_block(sequencs=9)), "dataset",
+         "sequencs"),
+        (_tiny_config(ae_schedule=_schedule(wd_milestone=[[1, 10]])),
+         "ae_schedule", "wd_milestone"),
+        (_tiny_config(dataset=_sprite_block(count=6)), "dataset", "count"),
+        (_tiny_config(dataset={"type": "file", "path": "x.gts", "frames": 6}),
+         "dataset", "frames"),
+        (_tiny_config(dataset={"type": "csv", "path": "x.csv",
+                               "sequences": 6}), "dataset", "sequences"),
+        (_tiny_config(dataset=_crop_source(type="textured", heigth=12)),
+         "dataset source", "heigth"),
+        (_tiny_config(dataset=_crop_source(type="stl10", path="x.bin",
+                                           count=5)),
+         "dataset source", "count"),
+    ])
+    def test_unknown_key_rejected(self, cfg, label, key):
+        message = f"{label} has unknown key {key!r}; expected one of ["
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            _read_config_and_dataset(cfg)
+
+    def test_unknown_key_message_lists_the_table(self):
+        with pytest.raises(ValueError) as info:
+            harness.config_from_dict(
+                _tiny_config(ae_schedule=_schedule(lr_milestone=[])))
+        assert str(info.value) == (
+            "ae_schedule has unknown key 'lr_milestone'; expected one of "
+            "['batch_size', 'epochs', 'lr0', 'lr_milestones', 'wd0', "
+            "'wd_milestones']")
+
+    def test_duplicate_latent_dims_rejected(self):
+        with pytest.raises(ValueError, match="^duplicate latent_dims in config$"):
+            harness.config_from_dict(_tiny_config(latent_dims=[4, 9, 4]))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("latent_scale", float("nan"), "latent_scale must be positive"),
+        ("latent_scale", float("inf"), "latent_scale must be positive"),
+        ("latent_scale", float("-inf"), "latent_scale must be positive"),
+        ("grad_clip", float("inf"), "grad_clip must be positive"),
+        ("ae_schedule", _schedule(lr0=float("nan")), "lr0 must be positive"),
+        ("lstm_schedule", _schedule(lr0=float("inf")),
+         "lr0 must be positive"),
+        ("ae_schedule", _schedule(wd0=float("nan")),
+         "wd0 must be nonnegative"),
+        ("ae_schedule", _schedule(wd0=float("inf")),
+         "wd0 must be nonnegative"),
+        ("lstm_schedule", _schedule(lr_milestones=[[1, float("nan")]]),
+         "lr milestone divisors must be positive"),
+        ("ae_schedule", _schedule(wd_milestones=[[1, float("inf")]]),
+         "wd milestone divisors must be positive"),
+    ])
+    def test_non_finite_numbers_rejected(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            harness.config_from_dict(_tiny_config(**{key: value}))
+
+    def test_defaults_filled_in(self):
+        config = harness.config_from_dict(
+            {"dataset": {"type": "moving_sprite"}, "methods": ["raw"],
+             "latent_dims": [], "seed": 3,
+             "ae_schedule": {"epochs": 1, "batch_size": 2, "lr0": 0.1}})
+        assert (config.train_fraction, config.warmup, config.keep_fraction,
+                config.grad_clip, config.latent_scale, config.codec_cache_dir,
+                config.dump_predictions, config.lstm_schedule) == (
+            0.7, 10, graphs.DEFAULT_KEEP_FRACTION, None, None, None, False,
+            None)
+        assert config.ae_schedule == harness.TrainSchedule(1, 2, 0.1)
+        dataset = harness.build_dataset(config)
+        assert (dataset.count, dataset.num_frames) == (100, 20)
+        assert dataset.frame_shape == (64, 64)
+
+    def test_textured_count_defaults_to_sequences(self):
+        block = {"type": "moving_crop", "source": {"height": 12, "width": 12},
+                 "crop": 6, "frames": 3, "sequences": 7}
+        dataset = harness.build_dataset(
+            harness.config_from_dict(_tiny_config(dataset=block)))
+        assert dataset.count == 7
+
+    def test_shipped_configs_use_known_keys(self):
+        assert _SHIPPED_CONFIGS
+        for path in _SHIPPED_CONFIGS:
+            config = harness.load_config(path)
+            kind, block = harness._read_typed_block(
+                config.dataset, harness._DATASET_KEYS, "dataset")
+            if kind == "moving_crop":
+                harness._read_typed_block(block["source"],
+                                          harness._SOURCE_KEYS,
+                                          "dataset source", "textured")
+
+    def test_readme_schema_lists_exactly_the_table_keys(self):
+        readme = (Path(__file__).resolve().parent.parent
+                  / "README.md").read_text()
+        section = readme.split("## Config schema", 1)[1]
+        block = section.split("```jsonc", 1)[1].split("```", 1)[0]
+        documented = set(re.findall(r'"(\w+)"\s*:', block))
+        tables = [harness._CONFIG_KEYS, harness._SCHEDULE_KEYS,
+                  *harness._DATASET_KEYS.values(),
+                  *harness._SOURCE_KEYS.values()]
+        assert documented == set().union(*tables)
+
+    def test_shipped_config_digests_unchanged(self, tmp_path):
+        # the config hash and codec-cache names of earlier releases, so
+        # existing reports and caches stay valid
+        root = Path(__file__).resolve().parent.parent / "configs"
+        expected = {
+            "desk_predict": (
+                "c67e0bf14e4ab5bc68352ce2110b4c692641ff807d53cc0c4e6fc71a3688ebc6",
+                ["gft-grid_n256_m64_53e726ff54b2b76c.gts",
+                 "gft-geo_n256_m64_9f48fd21724ed3f3.gts",
+                 "ae_n256_m64_4aed60cf3119b3e4.gts"]),
+            "full_scale_stl10": (
+                "e7544b2f2df3938dbbed5a6d2e2ce3868bb4fc81686061de933496450b428e20",
+                ["gft-grid_n256_m500_ec3376d40fe1719d.gts",
+                 "gft-grid_n256_m1000_ec3376d40fe1719d.gts",
+                 "gft-geo_n256_m500_997ea6fd1f47ddfd.gts",
+                 "gft-geo_n256_m1000_997ea6fd1f47ddfd.gts",
+                 "ae_n256_m500_070e7832c93cd5e8.gts",
+                 "ae_n256_m1000_070e7832c93cd5e8.gts"]),
+        }
+        for name, (digest, cache_names) in expected.items():
+            raw = json.loads((root / f"{name}.json").read_text())
+            assert harness.config_hash(harness.config_from_dict(raw)) == digest
+            config = harness.config_from_dict(
+                dict(raw, codec_cache_dir=str(tmp_path)))
+            assert [harness._cache_file(config, kind, 256, m).name
+                    for kind in config.methods if kind != "raw"
+                    for m in config.latent_dims] == cache_names
+
+
 class TestCompatibility:
     def test_grid_method_needs_frame_shape(self, tmp_path):
         path = tmp_path / "series.csv"
@@ -529,6 +671,34 @@ class TestEmitReport:
             assert a.recon_mse == b.recon_mse and a.pred_mse == b.pred_mse
 
 
+class TestReportJson:
+    def _report(self):
+        cells = [
+            harness.ReportCell("gft-grid", 4, 0.25, pred_mse=0.5,
+                               lstm_loss_history=[0.75, 0.5], eig_gap=0.125,
+                               eig_multiplicity=2),
+            harness.ReportCell("ae", 9, 1e-3, pred_mse=None,
+                               ae_loss_history=[2.0, 1.0]),
+        ]
+        return harness.Report("prediction", 11, _tiny_config(), "ab" * 32,
+                              1.5, cells)
+
+    def test_round_trip_equals_original(self):
+        report = self._report()
+        text = json.dumps(harness.report_to_dict(report), indent=2)
+        assert harness.report_from_dict(json.loads(text)) == report
+
+    def test_key_order_and_no_sample_prediction(self):
+        report = self._report()
+        report.cells[0].sample_prediction = np.zeros((2, 4))
+        d = harness.report_to_dict(report)
+        assert list(d) == ["kind", "seed", "config", "config_hash",
+                           "wall_time_s", "cells"]
+        assert [list(c) for c in d["cells"]] == [[
+            "method", "m", "recon_mse", "pred_mse", "ae_loss_history",
+            "lstm_loss_history", "eig_gap", "eig_multiplicity"]] * 2
+
+
 class TestEmitPlot:
     def test_polyline_count_and_well_formed(self, tmp_path):
         path = tmp_path / "plot.svg"
@@ -747,6 +917,55 @@ class TestCli:
         assert cli.main(["reconstruct", "--config",
                          str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "out")]) == 1
+
+
+class TestCliRejectsBeforeAnyWork:
+    """Each malformed config gives one ``error:`` line naming the key."""
+
+    def _main(self, tmp_path, capsys, cfg, command="reconstruct"):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = cli.main([command, "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        return err
+
+    @pytest.mark.parametrize("cfg, key", [
+        (_tiny_config(lstm_shedule=_schedule()), "lstm_shedule"),
+        (_tiny_config(lstm_schedule=_schedule(lr_milestone=[[1, 10]])),
+         "lr_milestone"),
+        (_tiny_config(dataset=_crop_block(sequencs=9)), "sequencs"),
+    ])
+    def test_unknown_keys(self, tmp_path, capsys, cfg, key):
+        assert f"unknown key {key!r}" in self._main(tmp_path, capsys, cfg,
+                                                    "predict")
+
+    def test_non_object_source(self, tmp_path, capsys):
+        err = self._main(tmp_path, capsys,
+                         _tiny_config(dataset={**_crop_block(), "source": 5}))
+        assert err == "error: dataset source must be an object, got 5\n"
+
+    @pytest.mark.parametrize("meta", [5, ["x"]])
+    def test_non_path_meta(self, tmp_path, capsys, meta):
+        written = harness.save_dataset(
+            harness.build_dataset(harness.config_from_dict(_tiny_config())),
+            tmp_path / "data")
+        err = self._main(tmp_path, capsys, _tiny_config(dataset={
+            "type": "file", "path": written["tensor"], "meta": meta}))
+        assert err == (f"error: dataset meta must be a path or null, "
+                       f"got {meta!r}\n")
+
+    def test_duplicate_latent_dims(self, tmp_path, capsys):
+        err = self._main(tmp_path, capsys, _tiny_config(latent_dims=[4, 4]))
+        assert err == "error: duplicate latent_dims in config\n"
+
+    def test_non_finite_latent_scale(self, tmp_path, capsys):
+        err = self._main(tmp_path, capsys,
+                         _tiny_config(latent_scale=float("nan")), "predict")
+        assert "latent_scale must be positive" in err
 
 
 def test_cli_import_leaves_urllib_request_unloaded():
