@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -111,32 +112,41 @@ def load_stl10(path) -> ImageSet:
     Layout: per image 3 channel planes (R, G, B), each a 96x96 block of
     unsigned bytes in column-major order.  Channels are mixed with the
     BT.601 luma weights and scaled with v/127.5 - 1.
+
+    The file is converted 8 images at a time into the result, with the
+    operations of a whole-file conversion, so the peak is about the
+    result plus one block.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) == 0 or len(raw) % STL10_IMAGE_BYTES != 0:
-        raise ValueError(
-            f"{path}: size {len(raw)} is not a positive multiple of "
-            f"{STL10_IMAGE_BYTES} bytes per image"
-        )
-    count = len(raw) // STL10_IMAGE_BYTES
-    planes = np.frombuffer(raw, dtype=np.uint8).reshape(count, 3, 96, 96)
-    planes = planes.transpose(0, 1, 3, 2).astype(np.float64)  # column-major
-    gray = (0.299 * planes[:, 0] + 0.587 * planes[:, 1]
-            + 0.114 * planes[:, 2])
-    return ImageSet(gray / 127.5 - 1.0)
+        size = os.fstat(fh.fileno()).st_size
+        if size == 0 or size % STL10_IMAGE_BYTES != 0:
+            raise ValueError(f"{path}: size {size} is not a positive "
+                             f"multiple of {STL10_IMAGE_BYTES} bytes per image")
+        gray = np.empty((size // STL10_IMAGE_BYTES, 96, 96))
+        for start in range(0, len(gray), 8):
+            out = gray[start:start + 8]
+            raw = fh.read(len(out) * STL10_IMAGE_BYTES)
+            if len(raw) != len(out) * STL10_IMAGE_BYTES:
+                raise ValueError(f"{path}: file changed while read")
+            planes = np.frombuffer(raw, dtype=np.uint8).reshape(
+                len(out), 3, 96, 96).transpose(0, 1, 3, 2)  # column-major
+            np.multiply(0.299, planes[:, 0], out=out)
+            out += 0.587 * planes[:, 1]
+            out += 0.114 * planes[:, 2]
+    gray /= 127.5
+    gray -= 1.0
+    return ImageSet(gray)
 
 
 def generate_textured_images(count: int, height: int, width: int, seed: int,
                              waves: int = 24, min_cycles: float = 1.0,
-                             max_cycles: float = 12.0,
-                             spectral_decay: float = 1.3) -> ImageSet:
+                             max_cycles: float = 12.0) -> ImageSet:
     """Random smooth textures from one shared family of plane waves.
 
     A wave table of ``waves`` (frequency, orientation, amplitude)
     triples is drawn once from the seed: frequency magnitudes between
     ``min_cycles`` and ``max_cycles`` cycles per image, amplitudes
-    falling off as ``cycles**-spectral_decay``, orientations biased
+    falling off as ``cycles**-1.3``, orientations biased
     towards horizontal so the pixel-covariance ensemble is anisotropic.
     Each image then randomises the phases and mildly jitters the
     amplitudes (independent stream per image) and is rescaled to peak
@@ -155,7 +165,7 @@ def generate_textured_images(count: int, height: int, width: int, seed: int,
         cycles = table_rng.uniform_in(min_cycles, max_cycles)
         angle = (table_rng.uniform_in(-0.35, 0.35)
                  + (np.pi if table_rng.randint(2) else 0.0))
-        amp = table_rng.uniform_in(0.5, 1.0) * cycles ** -spectral_decay
+        amp = table_rng.uniform_in(0.5, 1.0) * cycles ** -1.3
         table.append((cycles * np.cos(angle) / width,
                       cycles * np.sin(angle) / height, amp))
 
@@ -238,15 +248,14 @@ def generate_moving_sprite_dataset(canvas: int, sprite: int,
     yy = np.arange(sprite)[:, None] - (sprite - 1) / 2.0
     xx = np.arange(sprite)[None, :] - (sprite - 1) / 2.0
     disc = (yy * yy + xx * xx) <= (sprite / 2.0) ** 2
+    pixels = int(disc.sum())
 
     out = np.empty((count, frames_per_sequence, canvas * canvas))
     for s in range(count):
         rng = Rng(derive_seed(seed, s))
         patch = np.full((sprite, sprite), -1.0)
-        for r in range(sprite):
-            for c in range(sprite):
-                if disc[r, c]:
-                    patch[r, c] = rng.uniform_in(0.2, 1.0)
+        # one draw per disc pixel, in row-major order
+        patch[disc] = rng.uniform_matrix(1, pixels, 0.2, 1.0)[0]
         r = rng.randint(max_pos + 1)
         c = rng.randint(max_pos + 1)
         vr = speeds[rng.randint(4)]

@@ -106,6 +106,8 @@ class ExperimentConfig:
             raise ValueError("train_fraction must be in (0, 1)")
         if self.warmup < 1:
             raise ValueError("warmup must be at least 1")
+        if not 0.0 < self.keep_fraction <= 1.0:
+            raise ValueError("keep_fraction must be in (0, 1]")
         if isinstance(self.latent_scale, str):
             if self.latent_scale != "auto":
                 raise ValueError('latent_scale must be a number, "auto" or null')
@@ -199,7 +201,11 @@ def _read_typed_block(block, tables: dict, label: str,
 
 
 def _schedule(block, label: str) -> TrainSchedule:
-    return TrainSchedule(**_read_block(block, _SCHEDULE_KEYS, label))
+    values = _read_block(block, _SCHEDULE_KEYS, label)
+    try:
+        return TrainSchedule(**values)
+    except ValueError as exc:  # a range error: say which schedule
+        raise ValueError(f"{label} {exc}") from exc
 
 
 _object = _typed(dict, "an object")
@@ -340,6 +346,8 @@ def load_dataset(path, meta_path=None) -> data.SequenceDataset:
     frame_shape = None
     if meta_path is not None:
         meta = json.loads(Path(meta_path).read_text())
+        if not isinstance(meta, dict):
+            raise ValueError(f"{meta_path}: meta sidecar is not a JSON object")
         if meta.get("frame_shape"):
             frame_shape = tuple(meta["frame_shape"])
     return data.SequenceDataset(values, frame_shape=frame_shape)
@@ -478,8 +486,6 @@ class _CellInputs:
     predict: bool
     train_set: data.SequenceDataset
     test_set: data.SequenceDataset
-    train_frames: np.ndarray
-    test_frames: np.ndarray
     bases: dict      # spectral method -> its full basis (a LinearCodec)
     ae_cached: dict  # m -> the cached AE matrix, or None on a miss
 
@@ -500,9 +506,9 @@ def _fit_codec(inputs: _CellInputs, cell: ReportCell) -> tuple:
         a = inputs.ae_cached.get(m)
         if a is not None:
             return spectral.LinearCodec(a), None
-        n = inputs.train_frames.shape[1]
+        n = inputs.train_set.frame_dim
         codec0 = ae.init_codec(n, m, _stream(config.seed, _STREAM_AE_INIT, m))
-        codec, history = ae.train(codec0, inputs.train_frames,
+        codec, history = ae.train(codec0, inputs.train_set.frames(),
                                   config.ae_schedule,
                                   _stream(config.seed, _STREAM_AE_TRAIN, m))
         cell.ae_loss_history = [float(v) for v in history]
@@ -528,13 +534,7 @@ def _validate_compatibility(config: ExperimentConfig,
     for m in config.latent_dims:
         if m > n:
             raise ValueError(f"latent dimension {m} exceeds frame dimension {n}")
-    if not config.latent_dims and set(config.methods) != {"raw"}:
-        raise ValueError("latent_dims must be non-empty")
-    if "ae" in config.methods and config.ae_schedule is None:
-        raise ValueError("method 'ae' needs an ae_schedule")
     if need_lstm:
-        if config.lstm_schedule is None:
-            raise ValueError("prediction experiments need an lstm_schedule")
         if dataset.num_frames < 2:
             raise ValueError("prediction needs sequences of at least 2 frames")
         if config.warmup > dataset.num_frames - 1:
@@ -613,13 +613,19 @@ def run_prediction_experiment(config: ExperimentConfig) -> Report:
 
 def _run_experiment(config: ExperimentConfig, predict: bool) -> Report:
     start = time.perf_counter()
+    # the checks that need no data; gen-data accepts these configs
+    if not config.latent_dims and set(config.methods) != {"raw"}:
+        raise ValueError("latent_dims must be non-empty")
+    if "ae" in config.methods and config.ae_schedule is None:
+        raise ValueError("method 'ae' needs an ae_schedule")
+    if predict and config.lstm_schedule is None:
+        raise ValueError("prediction experiments need an lstm_schedule")
     dataset = build_dataset(config)
     _validate_compatibility(config, dataset, need_lstm=predict)
     train_set, test_set = data.split(dataset, config.train_fraction,
                                      _stream(config.seed, _STREAM_SPLIT))
     n, frame_shape = dataset.frame_dim, dataset.frame_shape
     del dataset  # the splits hold copies; free the unsplit frames now
-    train_frames = train_set.frames()
     # shared work and all codec-cache reads happen here, in cell order,
     # so cache warnings reach this process's stderr in that order
     bases, ae_cached = {}, {}
@@ -629,10 +635,10 @@ def _run_experiment(config: ExperimentConfig, predict: bool) -> Report:
                 ae_cached[m] = _read_cache(_cache_file(config, "ae", n, m),
                                            (n, m))
         elif method != "raw":
-            bases[method] = _full_basis(config, method, train_frames,
+            bases[method] = _full_basis(config, method, train_set.frames(),
                                         frame_shape)
-    inputs = _CellInputs(config, predict, train_set, test_set, train_frames,
-                         test_set.frames(), bases, ae_cached)
+    inputs = _CellInputs(config, predict, train_set, test_set, bases,
+                         ae_cached)
     cells = _run_cells(inputs, [(method, m) for method in config.methods
                                 for m in _dims_for(config, method, n)])
     return Report("prediction" if predict else "reconstruction",
@@ -651,7 +657,8 @@ def _run_cell(inputs: _CellInputs, method: str, m: int) -> tuple:
     cell = ReportCell(method=method, m=m, recon_mse=0.0)  # raw is exact
     codec, trained = _fit_codec(inputs, cell)
     if codec is not None:
-        cell.recon_mse = spectral.reconstruction_mse(codec, inputs.test_frames)
+        cell.recon_mse = spectral.reconstruction_mse(codec,
+                                                     inputs.test_set.frames())
     if inputs.predict:
         (cell.pred_mse, cell.lstm_loss_history,
          cell.sample_prediction) = _predict(inputs, codec, method, m)
@@ -666,11 +673,11 @@ def _predict(inputs: _CellInputs, codec: spectral.LinearCodec | None,
     """
     config = inputs.config
     num_train, t_len, _ = inputs.train_set.sequences.shape
-    if codec is None:
-        z_train_flat, z_test_flat = inputs.train_frames, inputs.test_frames
-    else:
-        z_train_flat = spectral.encode_frames(codec, inputs.train_frames)
-        z_test_flat = spectral.encode_frames(codec, inputs.test_frames)
+    z_train_flat = inputs.train_set.frames()
+    z_test_flat = inputs.test_set.frames()
+    if codec is not None:
+        z_train_flat = spectral.encode_frames(codec, z_train_flat)
+        z_test_flat = spectral.encode_frames(codec, z_test_flat)
     if config.latent_scale == "auto":
         # normalise each representation into the predictor's
         # output range by its own peak training magnitude
@@ -772,7 +779,7 @@ def _run_cells(inputs: _CellInputs, cells: list) -> list:
             futures = {i: pool.submit(_worker_cell, *cells[i])
                        for i in _submission_order(inputs, cells)}
             results = (futures[i].result() for i in range(len(cells)))
-        n = inputs.train_frames.shape[1]
+        n = inputs.train_set.frame_dim
         report_cells = []
         for (method, m), (cell, trained) in zip(cells, results):
             if trained is not None:  # only this process writes the cache

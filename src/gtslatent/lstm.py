@@ -92,13 +92,22 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _check_rollout_args(num_frames: int, warmup: int):
+def _sequences(z, m: int, warmup: int) -> np.ndarray:
+    """``z`` as a non-empty finite (S, T, m) float64 stack with T >= 2
+    and 1 <= ``warmup`` <= T-1; each entry point checks it here once."""
+    s = np.asarray(z, dtype=np.float64)
+    if s.ndim != 3 or s.shape[0] == 0:
+        raise ValueError("sequences must be a non-empty (S, T, m) array")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("sequences contain non-finite values")
+    num_frames = s.shape[1]
     if num_frames < 2:
         raise ValueError("sequences need at least 2 frames")
     if not 1 <= warmup <= num_frames - 1:
-        raise ValueError(
-            f"warmup {warmup} outside [1, {num_frames - 1}]"
-        )
+        raise ValueError(f"warmup {warmup} outside [1, {num_frames - 1}]")
+    if s.shape[2] != m:
+        raise ValueError(f"frame length {s.shape[2]} != m={m}")
+    return s
 
 
 def _blocks(flat: np.ndarray, m: int):
@@ -226,11 +235,8 @@ def loss_and_grad(cell: LstmCell, frames, warmup: int):
     gradient is one fresh buffer laid out like ``cell.flat``, returned
     as its views keyed like :meth:`LstmCell.params`.
     """
-    f = linalg.as_matrix(frames, "frames")
-    _check_rollout_args(f.shape[0], warmup)
-    if f.shape[1] != cell.m:
-        raise ValueError(f"frame length {f.shape[1]} != m={cell.m}")
-    loss, preds, cache, dpreds = _batch_loss(cell.flat, f[None, :, :], warmup)
+    f = _sequences(linalg.as_matrix(frames, "frames")[None], cell.m, warmup)
+    loss, preds, cache, dpreds = _batch_loss(cell.flat, f, warmup)
     gflat = np.zeros_like(cell.flat)
     _backward(cell.flat, warmup, preds, cache, dpreds, gflat)
     return loss, _named(gflat, cell.m)
@@ -262,14 +268,7 @@ def train(cell: LstmCell, sequences, schedule: TrainSchedule, warmup: int,
     A step that leaves a non-finite entry raises a ``ValueError`` naming
     the first block that holds one.  The returned cell owns its buffer.
     """
-    s = np.asarray(sequences, dtype=np.float64)
-    if s.ndim != 3 or s.shape[0] == 0:
-        raise ValueError("sequences must be a non-empty (S, T, m) array")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("sequences contain non-finite values")
-    _check_rollout_args(s.shape[1], warmup)
-    if s.shape[2] != cell.m:
-        raise ValueError(f"frame length {s.shape[2]} != m={cell.m}")
+    s = _sequences(sequences, cell.m, warmup)
     if grad_clip is not None and not grad_clip > 0:
         # a negative scale would turn every step into gradient ascent
         raise ValueError(f"grad_clip must be positive, got {grad_clip!r}")
@@ -307,12 +306,7 @@ def rollout(cell: LstmCell, sequences, warmup: int) -> np.ndarray:
     first ``warmup`` steps of each sequence consume real frames; every
     later step consumes the previous prediction.
     """
-    z = np.asarray(sequences, dtype=np.float64)
-    if z.ndim != 3 or z.shape[0] == 0:
-        raise ValueError("sequences must be a non-empty (S, T, m) array")
-    _check_rollout_args(z.shape[1], warmup)
-    if z.shape[2] != cell.m:
-        raise ValueError(f"frame length {z.shape[2]} != m={cell.m}")
+    z = _sequences(sequences, cell.m, warmup)
     preds, _ = _forward(cell.flat, z, warmup, keep_cache=False)
     return preds
 
@@ -327,13 +321,13 @@ def evaluate_prediction(cell: LstmCell, latent_sequences, raw_sequences,
     mean over sequences of the MSE against the corresponding raw
     frames.  Pass an identity ``decode_fn`` for uncompressed inputs.
     """
-    z = np.asarray(latent_sequences, dtype=np.float64)
+    z = _sequences(latent_sequences, cell.m, warmup)
     raw = np.asarray(raw_sequences, dtype=np.float64)
-    if z.ndim != 3 or raw.ndim != 3:
+    if raw.ndim != 3:
         raise ValueError("sequence stacks must be 3-D (S, T, dim)")
     if z.shape[0] != raw.shape[0] or z.shape[1] != raw.shape[1]:
         raise ValueError("latent and raw sequence stacks must align")
-    preds = rollout(cell, z, warmup)
+    preds, _ = _forward(cell.flat, z, warmup, keep_cache=False)
     free = preds[:, warmup - 1:, :]          # predictions of frames W+1..T
     num_seq, num_eval, _ = free.shape
     decoded = decode_fn(free.reshape(num_seq * num_eval, -1))

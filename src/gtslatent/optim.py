@@ -14,6 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+#: Adam's moment decay rates and denominator offset, the published
+#: defaults; every training loop in the package uses them
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Per-parameter Adam accumulators; owned by one training loop."""
@@ -21,17 +26,10 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int
-    beta1: float
-    beta2: float
-    eps: float
 
 
-def adam_init(shape, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
-    if isinstance(shape, (int, np.integer)):
-        shape = (int(shape),)
-    shape = tuple(int(d) for d in shape)
-    return AdamState(np.zeros(shape), np.zeros(shape), 0, beta1, beta2, eps)
+def adam_init(shape) -> AdamState:
+    return AdamState(np.zeros(shape), np.zeros(shape), 0)
 
 
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
@@ -61,16 +59,16 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
     g += grad                                 # g = grad + wd * params
     tmp = np.empty_like(g)
     state.t += 1
-    state.m *= state.beta1                    # m = b1 m + (1 - b1) g
-    state.m += np.multiply(g, 1.0 - state.beta1, out=tmp)
-    np.multiply(g, 1.0 - state.beta2, out=tmp)  # v = b2 v + ((1 - b2) g) g
+    state.m *= BETA1                          # m = b1 m + (1 - b1) g
+    state.m += np.multiply(g, 1.0 - BETA1, out=tmp)
+    np.multiply(g, 1.0 - BETA2, out=tmp)      # v = b2 v + ((1 - b2) g) g
     tmp *= g
-    state.v *= state.beta2
+    state.v *= BETA2
     state.v += tmp
-    m_hat = np.divide(state.m, 1.0 - state.beta1 ** state.t, out=g)
-    denom = np.divide(state.v, 1.0 - state.beta2 ** state.t, out=tmp)
+    m_hat = np.divide(state.m, 1.0 - BETA1 ** state.t, out=g)
+    denom = np.divide(state.v, 1.0 - BETA2 ** state.t, out=tmp)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += EPS
     m_hat *= lr
     m_hat /= denom
     return np.subtract(params, m_hat, out=m_hat)

@@ -62,34 +62,25 @@ class LinearCodec:
 
 
 def compute_basis(lap, m: int) -> LinearCodec:
-    """Eigendecompose a Laplacian and keep the m lowest-eigenvalue columns.
-
-    At ``m == n`` the codec takes :func:`linalg.sym_eig`'s eigenvector
-    matrix as it is: that is already a C-contiguous array of its own,
-    so a copy would only add n^2 doubles to the peak.
-    """
-    l = linalg.as_matrix(lap, "laplacian")
-    n = l.shape[0]
-    if not 1 <= m <= n:
-        raise ValueError(f"m={m} out of range [1, {n}]")
-    eigenvalues, eigenvectors = linalg.sym_eig(l)
-    if m == n:
-        return LinearCodec(eigenvectors, eigenvalues)
-    # copies, not column views: a strided matrix may take another BLAS
-    # path in the products below and round differently
-    return LinearCodec(eigenvectors[:, :m].copy(), eigenvalues[:m].copy())
+    """Eigendecompose a Laplacian and keep the m lowest-eigenvalue columns."""
+    eigenvalues, eigenvectors = linalg.sym_eig(
+        linalg.as_matrix(lap, "laplacian"))
+    return truncate(LinearCodec(eigenvectors, eigenvalues), m)
 
 
 def truncate(codec: LinearCodec, m: int) -> LinearCodec:
     """Keep a codec's first m columns: a basis's m lowest frequencies.
 
     Lets callers eigendecompose once per graph and reuse the result
-    for a whole sweep of latent dimensions.
+    for a whole sweep of latent dimensions.  At ``m == codec.m`` it
+    returns the codec itself: a copy would only add to the peak.
     """
     if not 1 <= m <= codec.m:
         raise ValueError(f"m={m} out of range [1, {codec.m}]")
     if m == codec.m:
         return codec
+    # copies, not column views: a strided matrix may take another BLAS
+    # path in the products below and round differently
     return LinearCodec(codec.a[:, :m].copy(),
                        None if codec.eigenvalues is None
                        else codec.eigenvalues[:m].copy())

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gtslatent import data
-from gtslatent.rng import Rng
+from gtslatent.rng import Rng, derive_seed
 
 
 def _write_stl10(path, images):
@@ -61,6 +61,18 @@ class TestLoadStl10:
         path.write_bytes(b"\x00" * 1000)
         with pytest.raises(ValueError, match="27648"):
             data.load_stl10(path)
+
+    @pytest.mark.parametrize("count", [1, 8, 9, 50])
+    def test_pixels_equal_whole_file_conversion(self, tmp_path, count):
+        path = tmp_path / "random.bin"
+        raw = Rng(count).uniform_matrix(count, 27648, 0.0, 256.0)
+        path.write_bytes(raw.astype(np.uint8).tobytes())
+        planes = np.frombuffer(path.read_bytes(), dtype=np.uint8).reshape(
+            count, 3, 96, 96).transpose(0, 1, 3, 2).astype(np.float64)
+        gray = (0.299 * planes[:, 0] + 0.587 * planes[:, 1]
+                + 0.114 * planes[:, 2])
+        expect = gray / 127.5 - 1.0
+        assert data.load_stl10(path).pixels.tobytes() == expect.tobytes()
 
 
 class TestTexturedImages:
@@ -155,6 +167,31 @@ class TestMovingSprite:
     def test_sprite_too_large(self):
         with pytest.raises(ValueError):
             data.generate_moving_sprite_dataset(8, 9, 5, 2, seed=1)
+
+    # (70, 64): over 3072 disc pixels, so the bulk draw takes the block path
+    @pytest.mark.parametrize("canvas, sprite", [(8, 1), (8, 8), (16, 5),
+                                                (64, 12), (70, 64)])
+    def test_first_frames_match_per_pixel_draws(self, canvas, sprite):
+        ds = data.generate_moving_sprite_dataset(canvas, sprite, 2, 3, seed=17)
+        for s in range(3):
+            expect = _reference_sprite_frame(canvas, sprite, 17, s)
+            assert ds.sequences[s, 0].tobytes() == expect.tobytes()
+
+
+def _reference_sprite_frame(canvas, sprite, seed, s):
+    """First frame of sequence s, drawing the patch one pixel at a time."""
+    rng = Rng(derive_seed(seed, s))
+    centre = (sprite - 1) / 2.0
+    patch = np.full((sprite, sprite), -1.0)
+    for r in range(sprite):
+        for c in range(sprite):
+            if (r - centre) ** 2 + (c - centre) ** 2 <= (sprite / 2.0) ** 2:
+                patch[r, c] = rng.uniform_in(0.2, 1.0)
+    r = rng.randint(canvas - sprite + 1)
+    c = rng.randint(canvas - sprite + 1)
+    frame = np.full((canvas, canvas), -1.0)
+    frame[r:r + sprite, c:c + sprite] = patch
+    return frame.ravel()
 
 
 def _reference_load_csv(path):

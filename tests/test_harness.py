@@ -228,6 +228,28 @@ class TestConfigSchema:
         with pytest.raises(ValueError, match=message):
             harness.config_from_dict(_tiny_config(**{key: value}))
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("ae_schedule", _schedule(lr0=0),
+         "ae_schedule lr0 must be positive and finite, got 0.0"),
+        ("lstm_schedule", _schedule(wd_milestones=[[1, 0]]),
+         "lstm_schedule wd milestone divisors must be positive and finite, "
+         "got 0.0"),
+    ])
+    def test_schedule_range_error_names_the_schedule(self, key, value,
+                                                     message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            harness.config_from_dict(_tiny_config(**{key: value}))
+
+    @pytest.mark.parametrize("methods, keep_fraction", [
+        (["gft-grid"], -3), (["gft-corr"], 2.0), (["gft-corr"], 0.0),
+    ])
+    def test_keep_fraction_out_of_range_rejected(self, methods,
+                                                 keep_fraction):
+        with pytest.raises(ValueError,
+                           match=re.escape("keep_fraction must be in (0, 1]")):
+            harness.config_from_dict(_tiny_config(
+                methods=methods, keep_fraction=keep_fraction))
+
     def test_defaults_filled_in(self):
         config = harness.config_from_dict(
             {"dataset": {"type": "moving_sprite"}, "methods": ["raw"],
@@ -331,6 +353,28 @@ class TestCompatibility:
         cfg = _tiny_config(warmup=6)
         with pytest.raises(ValueError, match="warmup"):
             harness.run_prediction_experiment(harness.config_from_dict(cfg))
+
+    @pytest.mark.parametrize("key, value, runner, message", [
+        ("latent_dims", [], harness.run_reconstruction_experiment,
+         "latent_dims must be non-empty"),
+        ("ae_schedule", None, harness.run_reconstruction_experiment,
+         "method 'ae' needs an ae_schedule"),
+        ("lstm_schedule", None, harness.run_prediction_experiment,
+         "prediction experiments need an lstm_schedule"),
+    ])
+    def test_config_only_checks_come_before_the_data(self, monkeypatch, key,
+                                                     value, runner, message):
+        cfg = _tiny_config(**{key: value})
+        if value is None:  # a schedule left out
+            del cfg[key]
+        config = harness.config_from_dict(cfg)
+        assert harness.build_dataset(config).count == 10  # gen-data takes it
+
+        def no_data(config):
+            raise AssertionError("build_dataset was called")
+        monkeypatch.setattr(harness, "build_dataset", no_data)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            runner(config)
 
 
 class TestReconstructionExperiment:
@@ -966,6 +1010,17 @@ class TestCliRejectsBeforeAnyWork:
         err = self._main(tmp_path, capsys,
                          _tiny_config(latent_scale=float("nan")), "predict")
         assert "latent_scale must be positive" in err
+
+    def test_non_object_meta_sidecar(self, tmp_path, capsys):
+        written = harness.save_dataset(
+            harness.build_dataset(harness.config_from_dict(_tiny_config())),
+            tmp_path / "data")
+        meta = tmp_path / "data" / "meta.json"
+        meta.write_text("[1]")
+        err = self._main(tmp_path, capsys, _tiny_config(dataset={
+            "type": "file", "path": written["tensor"], "meta": str(meta)}),
+            "gen-data")
+        assert err == f"error: {meta}: meta sidecar is not a JSON object\n"
 
 
 def test_cli_import_leaves_urllib_request_unloaded():

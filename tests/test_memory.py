@@ -4,7 +4,9 @@ The main process builds every graph, Laplacian and eigenbasis, so these
 bound what it allocates at the full-basis shape.  Each bound is the
 peak measured at n=576 (a 24x24 grid, 100 frames) plus about 0.1 n^2,
 rounded down to a multiple of 0.05.  What a peak holds is noted beside
-each bound; the figures at n=2025 are in CHANGES.md.
+each bound; the figures at n=2025 are in CHANGES.md.  The STL-10
+reader, which runs in the same process, is bounded in multiples of its
+result.
 """
 
 import tracemalloc
@@ -12,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gtslatent import graphs, harness, linalg, spectral
+from gtslatent import data, graphs, harness, linalg, spectral
 from gtslatent.rng import Rng
 
 SIDE = 24
@@ -92,3 +94,21 @@ def test_full_basis_with_cache(frames, tmp_path):
                            (SIDE, SIDE))
     assert peak <= 3.1
     assert len(list(tmp_path.iterdir())) == 1
+
+
+def test_load_stl10(tmp_path):
+    # measured 1.24 results: the result, one 8-image block's bytes and
+    # float64 temporary, and ImageSet's finiteness mask (was 5.50 with
+    # the whole file's bytes and float64 planes alive at once)
+    path = tmp_path / "images.bin"
+    count = 50
+    path.write_bytes(Rng(6).uniform_matrix(count, data.STL10_IMAGE_BYTES,
+                                           0.0, 256.0).astype(np.uint8))
+    tracemalloc.start()
+    try:
+        images = data.load_stl10(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert images.count == count
+    assert peak <= 1.5 * images.pixels.nbytes
