@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from . import harness
+from . import data, harness
 
 
 def _add_common(parser):
@@ -71,11 +72,12 @@ def main(argv=None) -> int:
 
         if args.command == "gen-data":
             dataset = harness.build_dataset(config)
-            paths = harness.save_dataset(dataset, out_dir)
+            os.makedirs(out_dir, exist_ok=True)
+            path = os.path.join(out_dir, "dataset.gts")
+            data.save_dataset(path, dataset)
             print(f"wrote {dataset.count} sequences of "
                   f"{dataset.num_frames}x{dataset.frame_dim} frames")
-            for label, path in paths.items():
-                print(f"  {label}: {path}")
+            print(f"  tensor: {path}")
             return 0
 
         if args.command == "reconstruct":

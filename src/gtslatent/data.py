@@ -70,7 +70,6 @@ class SequenceDataset:
     """
 
     sequences: np.ndarray
-    split: str = "all"
     frame_shape: tuple[int, int] | None = None
 
     def __post_init__(self):
@@ -224,7 +223,7 @@ def generate_moving_crop_dataset(images: ImageSet, crop: int,
                     r += dr
                     c += dc
             out[s, t] = img[r:r + crop, c:c + crop].ravel()
-    return SequenceDataset(out, split="all", frame_shape=(crop, crop))
+    return SequenceDataset(out, frame_shape=(crop, crop))
 
 
 def generate_moving_sprite_dataset(canvas: int, sprite: int,
@@ -267,7 +266,7 @@ def generate_moving_sprite_dataset(canvas: int, sprite: int,
             frame = np.full((canvas, canvas), -1.0)
             frame[r:r + sprite, c:c + sprite] = patch
             out[s, t] = frame.ravel()
-    return SequenceDataset(out, split="all", frame_shape=(canvas, canvas))
+    return SequenceDataset(out, frame_shape=(canvas, canvas))
 
 
 def _bounce(pos: int, vel: int, max_pos: int) -> tuple[int, int]:
@@ -435,6 +434,22 @@ def load_tensor(path) -> tuple[tuple[int, ...], np.ndarray]:
     return dims, values.astype(np.float64).reshape(dims)
 
 
+def save_dataset(path, dataset: SequenceDataset) -> None:
+    """One GTS1 tensor: (count, T, h, w) for grid frames, else (count, T, n)."""
+    s = dataset.sequences
+    save_tensor(path, s.shape[:2] + (dataset.frame_shape or s.shape[2:]), s)
+
+
+def load_dataset(path) -> SequenceDataset:
+    """Read :func:`save_dataset`'s file; rank 4 gives the frame shape."""
+    dims, values = load_tensor(path)
+    if len(dims) not in (3, 4):
+        raise ValueError(f"{path}: a dataset tensor has rank 3, or 4 for "
+                         f"grid frames; got dims {dims}")
+    return SequenceDataset(values.reshape(*dims[:2], math.prod(dims[2:])),
+                           frame_shape=dims[2:] if len(dims) == 4 else None)
+
+
 def split(dataset: SequenceDataset, train_fraction: float,
           seed: int) -> tuple[SequenceDataset, SequenceDataset]:
     """Deterministic shuffled split into train and test subsets.
@@ -456,8 +471,6 @@ def split(dataset: SequenceDataset, train_fraction: float,
     train_idx = order[:num_train]
     test_idx = order[num_train:]
     return (
-        SequenceDataset(dataset.sequences[train_idx], split="train",
-                        frame_shape=dataset.frame_shape),
-        SequenceDataset(dataset.sequences[test_idx], split="test",
-                        frame_shape=dataset.frame_shape),
+        SequenceDataset(dataset.sequences[train_idx], dataset.frame_shape),
+        SequenceDataset(dataset.sequences[test_idx], dataset.frame_shape),
     )

@@ -31,21 +31,18 @@ DEFAULT_KEEP_FRACTION = 0.05
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected weighted graph on nodes 0..n-1.
+    """Undirected weighted graph on nodes 0..n-1, n the size of ``weights``.
 
     ``weights`` is the symmetric nonnegative adjacency matrix with a
     zero diagonal (no self-loops).  Node degrees are the row sums.
     """
 
-    n: int
     weights: np.ndarray
 
     def __post_init__(self):
         w = linalg.as_matrix(self.weights, "adjacency")
-        if w.shape != (self.n, self.n):
-            raise ValueError(
-                f"adjacency shape {w.shape} does not match n={self.n}"
-            )
+        if w.shape[0] != w.shape[1]:
+            raise ValueError(f"adjacency must be square, got shape {w.shape}")
         if not np.array_equal(w, w.T):
             raise ValueError("adjacency must be symmetric")
         if np.any(np.diag(w) != 0.0):
@@ -53,6 +50,10 @@ class Graph:
         if np.any(w < 0.0):
             raise ValueError("edge weights must be nonnegative")
         object.__setattr__(self, "weights", w)
+
+    @property
+    def n(self) -> int:
+        return self.weights.shape[0]
 
     @property
     def degrees(self) -> np.ndarray:
@@ -71,7 +72,7 @@ def grid_graph(height: int, width: int) -> Graph:
     w = np.zeros((n, n))
     i, j = _grid_edges(height, width)
     w[i, j] = w[j, i] = 1.0
-    return Graph(n, w)
+    return Graph(w)
 
 
 def _grid_edges(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -105,7 +106,7 @@ def semi_geometric_graph(frames, height: int, width: int) -> Graph:
     del cov
     w = np.zeros((n, n))
     w[i, j] = w[j, i] = edge
-    return Graph(n, w)
+    return Graph(w)
 
 
 def correlation_graph(series, keep_fraction: float = DEFAULT_KEEP_FRACTION) -> Graph:
@@ -126,7 +127,7 @@ def correlation_graph(series, keep_fraction: float = DEFAULT_KEEP_FRACTION) -> G
 
     total = n * (n - 1) // 2
     if total == 0:
-        return Graph(n, np.zeros((n, n)))
+        return Graph(np.zeros((n, n)))
 
     constant = np.ptp(s, axis=0) == 0.0
     if np.any(constant):
@@ -162,7 +163,7 @@ def correlation_graph(series, keep_fraction: float = DEFAULT_KEEP_FRACTION) -> G
     jj = top - start[ii] + ii + 1
     w = np.zeros((n, n))
     w[ii, jj] = w[jj, ii] = weight
-    return Graph(n, w)
+    return Graph(w)
 
 
 def laplacian(graph: Graph) -> np.ndarray:

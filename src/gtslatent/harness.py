@@ -40,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ae, data, graphs, lstm, spectral
+from .linalg import as_int as _as_int
 from .optim import TrainSchedule
 from .rng import derive_seed
 
@@ -126,13 +127,6 @@ class ExperimentConfig:
 # block must give.
 
 _REQUIRED = object()
-
-
-def _as_int(value, label: str) -> int:
-    """``value`` if it is an integer; bools, floats and the rest raise."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{label} must be an integer, got {value!r}")
 
 
 def _as_float(value, label: str) -> float:
@@ -243,8 +237,7 @@ _DATASET_KEYS = {
     "moving_sprite": {**_TYPE, "canvas": (_as_int, 64),
                       "sprite": (_as_int, 12), "frames": (_as_int, 20),
                       "sequences": (_as_int, 100)},
-    "file": {**_TYPE, "path": (_string, _REQUIRED),
-             "meta": (_path_or_null, None)},
+    "file": {**_TYPE, "path": (_string, _REQUIRED)},
     "csv": {**_TYPE, "path": (_string, _REQUIRED), "frames": (_as_int, 20)},
 }
 
@@ -295,7 +288,7 @@ def build_dataset(config: ExperimentConfig) -> data.SequenceDataset:
             frames_per_sequence=block["frames"], count=block["sequences"],
             seed=seed)
     if kind == "file":
-        return load_dataset(block["path"], block["meta"])
+        return data.load_dataset(block["path"])
     return data.sequences_from_series(data.load_csv_series(block["path"]),
                                       block["frames"])
 
@@ -314,43 +307,6 @@ def _build_images(source: dict, sequences: int | None,
         count=count, height=source["height"], width=source["width"],
         seed=derive_seed(seed, 0), waves=source["waves"],
         min_cycles=source["min_cycles"], max_cycles=source["max_cycles"])
-
-
-def save_dataset(dataset: data.SequenceDataset, out_dir) -> dict:
-    """Write a dataset as a GTS1 tensor plus a JSON meta sidecar."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    tensor_path = out / "dataset.gts"
-    meta_path = out / "dataset.json"
-    data.save_tensor(tensor_path, dataset.sequences.shape, dataset.sequences)
-    meta = {
-        "count": dataset.count,
-        "frames_per_sequence": dataset.num_frames,
-        "frame_dim": dataset.frame_dim,
-        "frame_shape": (list(dataset.frame_shape)
-                        if dataset.frame_shape else None),
-        "split": dataset.split,
-    }
-    meta_path.write_text(json.dumps(meta, indent=2) + "\n")
-    return {"tensor": str(tensor_path), "meta": str(meta_path)}
-
-
-def load_dataset(path, meta_path=None) -> data.SequenceDataset:
-    """Load a dataset written by :func:`save_dataset`."""
-    dims, values = data.load_tensor(path)
-    if len(dims) != 3:
-        raise ValueError(f"{path}: dataset tensor must be rank 3, got {dims}")
-    if meta_path is None:
-        candidate = Path(path).with_suffix(".json")
-        meta_path = candidate if candidate.exists() else None
-    frame_shape = None
-    if meta_path is not None:
-        meta = json.loads(Path(meta_path).read_text())
-        if not isinstance(meta, dict):
-            raise ValueError(f"{meta_path}: meta sidecar is not a JSON object")
-        if meta.get("frame_shape"):
-            frame_shape = tuple(meta["frame_shape"])
-    return data.SequenceDataset(values, frame_shape=frame_shape)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,16 @@
 
 Matrices are plain 2-D row-major ``numpy`` arrays and vectors are 1-D
 arrays; :func:`as_matrix` / :func:`as_vector` coerce and validate inputs
-at module boundaries (shape, finiteness).  Products are numpy's own
-``@``.  The symmetric eigendecomposition is LAPACK's
-(``np.linalg.eigh``) with one fixed sign per eigenvector, so a basis
-is a function of the matrix alone except inside degenerate
+at module boundaries (shape, finiteness), as :func:`as_int` does counts.
+Products are numpy's own ``@``.  The symmetric eigendecomposition is
+LAPACK's (``np.linalg.eigh``) with one fixed sign per eigenvector, so a
+basis is a function of the matrix alone except inside degenerate
 eigenspaces, where only the span is determined.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -20,6 +22,13 @@ SYMMETRY_ATOL = 1e-10
 #: peak magnitude counts as a peak for the sign convention of
 #: :func:`sym_eig`
 SIGN_RTOL = 1e-8
+
+
+def as_int(value, label: str) -> int:
+    """``value`` if it is an integer; bools, floats and the rest raise."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{label} must be an integer, got {value!r}")
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import as_int
+
 
 #: Adam's moment decay rates and denominator offset, the published
 #: defaults; every training loop in the package uses them
@@ -74,18 +76,22 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
     return np.subtract(params, m_hat, out=m_hat)
 
 
-def _check_milestones(milestones, label):
-    last = -1
+def _milestones(milestones, label) -> tuple:
+    """``milestones`` as checked (int epoch, float divisor) pairs."""
+    out, last = [], -1
     for entry in milestones:
         if len(entry) != 2:
             raise ValueError(f"{label} milestones must be (epoch, divisor) pairs")
-        epoch, divisor = entry
+        epoch = as_int(entry[0], f"{label} milestone epoch")
+        divisor = float(entry[1])
         if epoch <= last:
             raise ValueError(f"{label} milestone epochs must be strictly increasing")
         if not 0.0 < divisor < math.inf:
             raise ValueError(f"{label} milestone divisors must be positive "
                              f"and finite, got {divisor!r}")
+        out.append((epoch, divisor))
         last = epoch
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -100,9 +106,9 @@ class TrainSchedule:
     wd_milestones: tuple = ()
 
     def __post_init__(self):
-        if self.epochs < 0:
+        if as_int(self.epochs, "epochs") < 0:
             raise ValueError("epochs must be nonnegative")
-        if self.batch_size < 1:
+        if as_int(self.batch_size, "batch_size") < 1:
             raise ValueError("batch_size must be at least 1")
         if not 0.0 < self.lr0 < math.inf:
             raise ValueError(f"lr0 must be positive and finite, got "
@@ -111,11 +117,9 @@ class TrainSchedule:
             raise ValueError(f"wd0 must be nonnegative and finite, got "
                              f"{self.wd0!r}")
         object.__setattr__(self, "lr_milestones",
-                           tuple((int(e), float(d)) for e, d in self.lr_milestones))
+                           _milestones(self.lr_milestones, "lr"))
         object.__setattr__(self, "wd_milestones",
-                           tuple((int(e), float(d)) for e, d in self.wd_milestones))
-        _check_milestones(self.lr_milestones, "lr")
-        _check_milestones(self.wd_milestones, "wd")
+                           _milestones(self.wd_milestones, "wd"))
 
 
 def schedule_at(schedule: TrainSchedule, epoch: int) -> tuple[float, float]:

