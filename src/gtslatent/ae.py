@@ -69,7 +69,8 @@ def train(codec: LinearCodec, frames, schedule: TrainSchedule,
     The frames are validated once, on entry.  Each batch then runs the
     unchecked loss kernel on the working matrix and one Adam step; no
     codec is built until the end.  A step that leaves a non-finite
-    entry raises the ``ValueError`` that building the codec would.
+    entry raises the ``ValueError`` that building the codec would, and
+    the overflow that led to it raises no numpy warning.
     """
     x = linalg.as_matrix(frames, "frames")
     if x.shape[0] == 0:
@@ -82,15 +83,19 @@ def train(codec: LinearCodec, frames, schedule: TrainSchedule,
     num = x.shape[0]
     history = np.zeros(schedule.epochs)
     orders = Rng(seed).permutations(num, schedule.epochs)
-    for epoch, order in enumerate(orders):
-        lr, wd = schedule_at(schedule, epoch)
-        total = 0.0
-        for start in range(0, num, schedule.batch_size):
-            chunk = order[start:start + schedule.batch_size]
-            loss, grad = _loss_and_grad(a, x[chunk])
-            a = adam_step(state, a, grad, lr, wd)
-            if not np.isfinite(a).all():
-                raise ValueError("codec matrix contains non-finite entries")
-            total += loss * len(chunk)
-        history[epoch] = total / num
+    # a diverging run overflows in the matmuls and Adam's divide; the
+    # finiteness check after each step reports that as one error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch, order in enumerate(orders):
+            lr, wd = schedule_at(schedule, epoch)
+            total = 0.0
+            for start in range(0, num, schedule.batch_size):
+                chunk = order[start:start + schedule.batch_size]
+                loss, grad = _loss_and_grad(a, x[chunk])
+                a = adam_step(state, a, grad, lr, wd)
+                if not np.isfinite(a).all():
+                    raise ValueError("codec matrix contains non-finite "
+                                     "entries")
+                total += loss * len(chunk)
+            history[epoch] = total / num
     return LinearCodec(a), history

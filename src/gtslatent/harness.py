@@ -11,6 +11,12 @@ Determinism: everything stochastic is seeded from the config seed
 through fixed stream tags, so a rerun with the same config produces
 byte-identical CSV output.
 
+Codec cache: with ``codec_cache_dir`` set, each trained AE matrix, the
+one result that takes hours to recompute at full scale, is stored as a
+float64 ``.npy`` entry and read back bit for bit.  So a run with a
+cold cache, a warm cache or none reports exactly the same numbers.
+Spectral bases are always recomputed.
+
 Where the work runs: this process builds and splits the dataset,
 computes each spectral method's full basis once, and does all
 codec-cache reads and writes.  The (method, m) cells - fit or truncate
@@ -30,7 +36,6 @@ import dataclasses
 import html
 import json
 import math
-import numbers
 import os
 import sys
 import time
@@ -40,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ae, data, graphs, lstm, spectral
-from .linalg import as_int as _as_int
+from .linalg import as_float as _as_float, as_int as _as_int
 from .optim import TrainSchedule
 from .rng import derive_seed
 
@@ -129,13 +134,6 @@ class ExperimentConfig:
 _REQUIRED = object()
 
 
-def _as_float(value, label: str) -> float:
-    """``value`` as a float if it is a real number; bools and the rest raise."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"{label} must be a number, got {value!r}")
-
-
 def _typed(kind, what: str):
     """A check that passes a ``kind`` through and says ``what`` otherwise."""
     def check(value, label):
@@ -156,15 +154,6 @@ def _list_of(check, what: str):
     check_list = _typed((list, tuple), what)
     return lambda value, label: tuple(check(v, f"{label} entry")
                                       for v in check_list(value, label))
-
-
-def _milestones(pairs, label: str) -> tuple:
-    if not (isinstance(pairs, (list, tuple)) and all(
-            isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs)):
-        raise ValueError(f"{label} must be a list of [epoch, divisor] "
-                         f"pairs, got {pairs!r}")
-    return tuple((_as_int(e, f"{label} epoch"),
-                  _as_float(v, f"{label} divisor")) for e, v in pairs)
 
 
 def _read_block(block, table: dict, label: str, prefix: str | None = None):
@@ -198,7 +187,7 @@ def _schedule(block, label: str) -> TrainSchedule:
     values = _read_block(block, _SCHEDULE_KEYS, label)
     try:
         return TrainSchedule(**values)
-    except ValueError as exc:  # a range error: say which schedule
+    except ValueError as exc:  # from TrainSchedule: name the schedule
         raise ValueError(f"{label} {exc}") from exc
 
 
@@ -224,11 +213,11 @@ _CONFIG_KEYS = {
     "out_dir": (_path_or_null, None),  # read by the CLI
 }
 
+# a schedule's keys are TrainSchedule's fields, which it checks itself
 _SCHEDULE_KEYS = {
-    "epochs": (_as_int, _REQUIRED), "batch_size": (_as_int, _REQUIRED),
-    "lr0": (_as_float, _REQUIRED), "lr_milestones": (_milestones, ()),
-    "wd0": (_as_float, 0.0), "wd_milestones": (_milestones, ()),
-}
+    f.name: (lambda value, label: value,
+             _REQUIRED if f.default is dataclasses.MISSING else f.default)
+    for f in dataclasses.fields(TrainSchedule)}
 
 _DATASET_KEYS = {
     "moving_crop": {**_TYPE, "source": (_object, {}), "crop": (_as_int, 45),
@@ -313,59 +302,51 @@ def _build_images(source: dict, sequences: int | None,
 # codecs
 
 
-def _quantize(arr: np.ndarray) -> np.ndarray:
-    # cached artifacts are float32 on disk; rounding up front keeps a
-    # cache-writing run identical to every cache-reading rerun
-    return arr.astype(np.float32).astype(np.float64)
-
-
-#: version of the cached spectral basis layout and conventions; bump it
-#: whenever the bases :func:`linalg.sym_eig` returns change (2: LAPACK
-#: with fixed eigenvector signs), so older cache entries are not reused
-_BASIS_FORMAT = 2
-
-
-def _cache_file(config, kind: str, n: int, m: int) -> Path | None:
+def _cache_file(config, n: int, m: int) -> Path | None:
+    """The codec-cache entry of the AE trained at (n, m); None without a cache."""
     if config.codec_cache_dir is None:
         return None
-    # key each kind only on what determines it
+    # key only on what determines the trained matrix
     relevant = {
         "dataset": config.dataset,
         "seed": config.seed,
         "train_fraction": config.train_fraction,
-        "kind": kind,
+        "kind": "ae",  # kept, so each AE entry keeps its earlier digest
+        "ae_schedule": (dataclasses.asdict(config.ae_schedule)
+                        if config.ae_schedule else None),
     }
-    if kind == "ae":
-        relevant["ae_schedule"] = (dataclasses.asdict(config.ae_schedule)
-                                   if config.ae_schedule else None)
-    else:
-        relevant["basis_format"] = _BASIS_FORMAT
-    if kind == "gft-corr":
-        relevant["keep_fraction"] = config.keep_fraction
     blob = json.dumps(relevant, sort_keys=True, separators=(",", ":"))
     digest = _sha256(blob.encode()).hexdigest()[:16]
     out = Path(config.codec_cache_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out / f"{kind}_n{n}_m{m}_{digest}.gts"
+    return out / f"ae_n{n}_m{m}_{digest}.npy"
 
 
 def _read_cache(path: Path | None, shape: tuple) -> np.ndarray | None:
-    """A cached array, or None on a miss.
+    """A cached AE matrix, or None on a miss.
 
-    An entry that cannot be read or has the wrong shape (e.g. a file
-    truncated by an interrupted run) counts as a miss: it is reported
-    on stderr and the caller recomputes and overwrites it.
+    An entry that cannot be read (e.g. a file truncated by an
+    interrupted run) or is not a finite float64 array of ``shape``
+    counts as a miss: it is reported on stderr and the caller
+    recomputes and overwrites it.
     """
     if path is None or not path.exists():
         return None
     try:
-        dims, values = data.load_tensor(path)
+        # the .npy reader behind np.load, which would also open a zip
+        # archive, and would raise EOFError on an empty file
+        with open(path, "rb") as fh:
+            values = np.lib.format.read_array(fh, allow_pickle=False)
     except (OSError, ValueError) as exc:
         problem = str(exc)
     else:
-        if dims == shape:
+        if values.shape != shape or values.dtype != np.float64:
+            problem = (f"{values.dtype} array of shape {values.shape}, "
+                       f"expected float64 of {shape}")
+        elif not np.isfinite(values).all():
+            problem = "non-finite entries"
+        else:
             return values
-        problem = f"dims {dims}, expected {shape}"
     print(f"warning: ignoring codec cache entry {path}: {problem}; "
           f"recomputing", file=sys.stderr)
     return None
@@ -375,7 +356,8 @@ def _write_cache(path: Path, values: np.ndarray) -> None:
     """Write a cache entry atomically: a temp file, then a rename."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        data.save_tensor(tmp, values.shape, values)
+        with open(tmp, "wb") as fh:  # a path would gain a .npy suffix
+            np.save(fh, values, allow_pickle=False)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -396,22 +378,6 @@ def _eig_diagnostics(eigenvalues: np.ndarray, m: int) -> tuple:
     gap = float(eigenvalues[m] - lam) if m < len(eigenvalues) else None
     tol = 1e-9 * max(1.0, float(eigenvalues[-1]))
     return gap, int(np.sum(np.abs(eigenvalues - lam) <= tol))
-
-
-def _full_basis(config, method: str, train_frames: np.ndarray,
-                frame_shape) -> spectral.LinearCodec:
-    n = train_frames.shape[1]
-    cache = _cache_file(config, method, n, n)
-    packed = _read_cache(cache, (n + 1, n))
-    if packed is not None:
-        return spectral.LinearCodec(packed[1:], packed[0])
-    basis = spectral.compute_basis(
-        _laplacian(config, method, train_frames, frame_shape), n)
-    if cache is not None:
-        _write_cache(cache, np.vstack([basis.eigenvalues[None, :], basis.a]))
-        basis = spectral.LinearCodec(_quantize(basis.a),
-                                     _quantize(basis.eigenvalues))
-    return basis
 
 
 def _laplacian(config, method: str, train_frames: np.ndarray,
@@ -468,9 +434,7 @@ def _fit_codec(inputs: _CellInputs, cell: ReportCell) -> tuple:
                                   config.ae_schedule,
                                   _stream(config.seed, _STREAM_AE_TRAIN, m))
         cell.ae_loss_history = [float(v) for v in history]
-        if config.codec_cache_dir is None:
-            return codec, None
-        return spectral.LinearCodec(_quantize(codec.a)), codec.a
+        return codec, None if config.codec_cache_dir is None else codec.a
     full = inputs.bases[method]
     cell.eig_gap, cell.eig_multiplicity = _eig_diagnostics(full.eigenvalues, m)
     return spectral.truncate(full, m), None
@@ -583,16 +547,17 @@ def _run_experiment(config: ExperimentConfig, predict: bool) -> Report:
     n, frame_shape = dataset.frame_dim, dataset.frame_shape
     del dataset  # the splits hold copies; free the unsplit frames now
     # shared work and all codec-cache reads happen here, in cell order,
-    # so cache warnings reach this process's stderr in that order
+    # so cache warnings reach this process's stderr in that order; the
+    # cache holds only trained AE matrices, bit for bit, so a cached run
+    # reports exactly what an uncached one does
     bases, ae_cached = {}, {}
     for method in config.methods:
         if method == "ae":
             for m in config.latent_dims:
-                ae_cached[m] = _read_cache(_cache_file(config, "ae", n, m),
-                                           (n, m))
+                ae_cached[m] = _read_cache(_cache_file(config, n, m), (n, m))
         elif method != "raw":
-            bases[method] = _full_basis(config, method, train_set.frames(),
-                                        frame_shape)
+            bases[method] = spectral.compute_basis(
+                _laplacian(config, method, train_set.frames(), frame_shape), n)
     inputs = _CellInputs(config, predict, train_set, test_set, bases,
                          ae_cached)
     cells = _run_cells(inputs, [(method, m) for method in config.methods
@@ -739,7 +704,7 @@ def _run_cells(inputs: _CellInputs, cells: list) -> list:
         report_cells = []
         for (method, m), (cell, trained) in zip(cells, results):
             if trained is not None:  # only this process writes the cache
-                _write_cache(_cache_file(inputs.config, "ae", n, m), trained)
+                _write_cache(_cache_file(inputs.config, n, m), trained)
             report_cells.append(cell)
         return report_cells
     finally:

@@ -2,7 +2,8 @@
 
 Matrices are plain 2-D row-major ``numpy`` arrays and vectors are 1-D
 arrays; :func:`as_matrix` / :func:`as_vector` coerce and validate inputs
-at module boundaries (shape, finiteness), as :func:`as_int` does counts.
+at module boundaries (shape, finiteness), as :func:`as_int` and
+:func:`as_float` do scalars.
 Products are numpy's own ``@``.  The symmetric eigendecomposition is
 LAPACK's (``np.linalg.eigh``) with one fixed sign per eigenvector, so a
 basis is a function of the matrix alone except inside degenerate
@@ -29,6 +30,13 @@ def as_int(value, label: str) -> int:
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     raise ValueError(f"{label} must be an integer, got {value!r}")
+
+
+def as_float(value, label: str) -> float:
+    """``value`` as a float if it is a real number; bools and the rest raise."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{label} must be a number, got {value!r}")
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

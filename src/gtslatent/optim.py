@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_int
+from .linalg import as_float, as_int
 
 
 #: Adam's moment decay rates and denominator offset, the published
@@ -78,12 +78,14 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
 
 def _milestones(milestones, label) -> tuple:
     """``milestones`` as checked (int epoch, float divisor) pairs."""
+    if not (isinstance(milestones, (list, tuple)) and all(
+            isinstance(p, (list, tuple)) and len(p) == 2 for p in milestones)):
+        raise ValueError(f"{label} milestones must be a list of (epoch, "
+                         f"divisor) pairs, got {milestones!r}")
     out, last = [], -1
-    for entry in milestones:
-        if len(entry) != 2:
-            raise ValueError(f"{label} milestones must be (epoch, divisor) pairs")
-        epoch = as_int(entry[0], f"{label} milestone epoch")
-        divisor = float(entry[1])
+    for epoch, divisor in milestones:
+        epoch = as_int(epoch, f"{label} milestone epoch")
+        divisor = as_float(divisor, f"{label} milestone divisor")
         if epoch <= last:
             raise ValueError(f"{label} milestone epochs must be strictly increasing")
         if not 0.0 < divisor < math.inf:
@@ -96,7 +98,12 @@ def _milestones(milestones, label) -> tuple:
 
 @dataclass(frozen=True)
 class TrainSchedule:
-    """Epoch/batch counts plus stepwise lr and weight-decay schedules."""
+    """Epoch/batch counts plus stepwise lr and weight-decay schedules.
+
+    The one reader of schedule fields: counts must be integers and
+    rates and divisors real numbers (bools and strings raise), and the
+    instance keeps them as ``int`` and ``float``.
+    """
 
     epochs: int
     batch_size: int
@@ -106,9 +113,17 @@ class TrainSchedule:
     wd_milestones: tuple = ()
 
     def __post_init__(self):
-        if as_int(self.epochs, "epochs") < 0:
+        checked = {"epochs": as_int(self.epochs, "epochs"),
+                   "batch_size": as_int(self.batch_size, "batch_size"),
+                   "lr0": as_float(self.lr0, "lr0"),
+                   "lr_milestones": _milestones(self.lr_milestones, "lr"),
+                   "wd0": as_float(self.wd0, "wd0"),
+                   "wd_milestones": _milestones(self.wd_milestones, "wd")}
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
+        if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
-        if as_int(self.batch_size, "batch_size") < 1:
+        if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if not 0.0 < self.lr0 < math.inf:
             raise ValueError(f"lr0 must be positive and finite, got "
@@ -116,10 +131,6 @@ class TrainSchedule:
         if not 0.0 <= self.wd0 < math.inf:
             raise ValueError(f"wd0 must be nonnegative and finite, got "
                              f"{self.wd0!r}")
-        object.__setattr__(self, "lr_milestones",
-                           _milestones(self.lr_milestones, "lr"))
-        object.__setattr__(self, "wd_milestones",
-                           _milestones(self.wd_milestones, "wd"))
 
 
 def schedule_at(schedule: TrainSchedule, epoch: int) -> tuple[float, float]:

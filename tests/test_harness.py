@@ -1,5 +1,6 @@
 import concurrent.futures
 import hashlib
+import io
 import json
 import math
 import multiprocessing
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from gtslatent import cli, data, graphs, harness, linalg, spectral
+from gtslatent.rng import Rng
 
 
 def _tiny_config(**overrides):
@@ -302,25 +304,18 @@ class TestConfigSchema:
         expected = {
             "desk_predict": (
                 "c67e0bf14e4ab5bc68352ce2110b4c692641ff807d53cc0c4e6fc71a3688ebc6",
-                ["gft-grid_n256_m64_53e726ff54b2b76c.gts",
-                 "gft-geo_n256_m64_9f48fd21724ed3f3.gts",
-                 "ae_n256_m64_4aed60cf3119b3e4.gts"]),
+                ["ae_n256_m64_4aed60cf3119b3e4.npy"]),
             "full_scale_stl10": (
                 "e7544b2f2df3938dbbed5a6d2e2ce3868bb4fc81686061de933496450b428e20",
-                ["gft-grid_n256_m500_ec3376d40fe1719d.gts",
-                 "gft-grid_n256_m1000_ec3376d40fe1719d.gts",
-                 "gft-geo_n256_m500_997ea6fd1f47ddfd.gts",
-                 "gft-geo_n256_m1000_997ea6fd1f47ddfd.gts",
-                 "ae_n256_m500_070e7832c93cd5e8.gts",
-                 "ae_n256_m1000_070e7832c93cd5e8.gts"]),
+                ["ae_n256_m500_070e7832c93cd5e8.npy",
+                 "ae_n256_m1000_070e7832c93cd5e8.npy"]),
         }
         for name, (digest, cache_names) in expected.items():
             raw = json.loads((root / f"{name}.json").read_text())
             assert harness.config_hash(harness.config_from_dict(raw)) == digest
             config = harness.config_from_dict(
                 dict(raw, codec_cache_dir=str(tmp_path)))
-            assert [harness._cache_file(config, kind, 256, m).name
-                    for kind in config.methods if kind != "raw"
+            assert [harness._cache_file(config, 256, m).name
                     for m in config.latent_dims] == cache_names
 
 
@@ -464,20 +459,59 @@ class TestCodecCache:
         for c1, c2 in zip(r1.cells, r2.cells):
             assert c1.recon_mse == c2.recon_mse
 
+    def test_cached_runs_report_what_uncached_runs_do(self, tmp_path,
+                                                      monkeypatch):
+        raw = _tiny_config(methods=["gft-grid", "gft-geo", "gft-corr", "ae"],
+                           latent_dims=[2, 4, 9], keep_fraction=0.3)
+        cache = tmp_path / "cache"
+        cached = dict(raw, codec_cache_dir=str(cache))
+        run = harness.run_reconstruction_experiment
+        for cpus in (1, 2):
+            runs = [_run_on_cpus(monkeypatch, cpus, run,
+                                 harness.config_from_dict(cfg),
+                                 tmp_path / f"{cpus}-{state}")[:2]
+                    for cfg, state in ((raw, "none"), (cached, "cold"),
+                                       (cached, "warm"))]
+            # the cache holds the trained AE matrices and nothing else
+            assert sorted(re.fullmatch(r"ae_n36_m(\d)_[0-9a-f]{16}\.npy",
+                                       p.name)[1]
+                          for p in cache.iterdir()) == ["2", "4", "9"]
+            shutil.rmtree(cache)
+            for d, _ in runs:  # the echo names the cache, and so its hash
+                d["config"].pop("codec_cache_dir", None)
+                del d["config_hash"]
+            (none, none_files), (cold, cold_files), (warm, warm_files) = runs
+            assert none_files == cold_files == warm_files  # report.csv
+            assert none == cold
+            # a warm run reads each AE instead of training it, so it has
+            # no loss history for it; every other field is the same
+            for cell in none["cells"]:
+                if cell["method"] == "ae":
+                    assert cell["ae_loss_history"]
+                    cell["ae_loss_history"] = None
+            assert none == warm
+
     def test_cache_key_holds_only_determining_fields(self, tmp_path):
-        base = _tiny_config(methods=["gft-grid", "gft-geo"], latent_dims=[4],
+        base = _tiny_config(methods=["gft-grid", "ae"], latent_dims=[4],
                             codec_cache_dir=str(tmp_path / "cache"))
-        other = dict(base, keep_fraction=0.3,
-                     ae_schedule=dict(base["ae_schedule"], epochs=3))
         a = harness.config_from_dict(base)
-        b = harness.config_from_dict(other)
-        for kind in ("gft-grid", "gft-geo"):
-            assert (harness._cache_file(a, kind, 36, 36)
-                    == harness._cache_file(b, kind, 36, 36))
-        for kind in ("gft-corr", "ae"):
-            assert (harness._cache_file(a, kind, 36, 36)
-                    != harness._cache_file(b, kind, 36, 36))
+        # nothing the AE training does not read changes its key
+        same = harness.config_from_dict(dict(
+            base, methods=["ae"], latent_dims=[9], keep_fraction=0.3,
+            warmup=3, latent_scale="auto", dump_predictions=True,
+            lstm_schedule=dict(base["lstm_schedule"], epochs=5)))
+        assert (harness._cache_file(a, 36, 4)
+                == harness._cache_file(same, 36, 4))
+        # and each field it reads does
+        for change in ({"ae_schedule": dict(base["ae_schedule"], epochs=3)},
+                       {"seed": 12}, {"train_fraction": 0.6},
+                       {"dataset": _crop_block(sequences=9)}):
+            other = harness.config_from_dict(dict(base, **change))
+            assert (harness._cache_file(a, 36, 4)
+                    != harness._cache_file(other, 36, 4))
         # a cache filled under another ae_schedule serves b like a cold run
+        other = dict(base, ae_schedule=dict(base["ae_schedule"], epochs=3))
+        b = harness.config_from_dict(other)
         harness.run_reconstruction_experiment(a)
         warm = harness.run_reconstruction_experiment(b)
         cold = harness.run_reconstruction_experiment(harness.config_from_dict(
@@ -487,20 +521,6 @@ class TestCodecCache:
         assert ((tmp_path / "warm" / "report.csv").read_bytes()
                 == (tmp_path / "cold-out" / "report.csv").read_bytes())
 
-    def test_basis_format_version_changes_spectral_keys(self, tmp_path,
-                                                        monkeypatch):
-        config = harness.config_from_dict(
-            _tiny_config(codec_cache_dir=str(tmp_path)))
-        before = {kind: harness._cache_file(config, kind, 36, 36)
-                  for kind in ("gft-grid", "gft-corr", "ae")}
-        monkeypatch.setattr(harness, "_BASIS_FORMAT",
-                            harness._BASIS_FORMAT + 1)
-        after = {kind: harness._cache_file(config, kind, 36, 36)
-                 for kind in before}
-        assert before["gft-grid"] != after["gft-grid"]
-        assert before["gft-corr"] != after["gft-corr"]
-        assert before["ae"] == after["ae"]
-
     def test_truncated_entries_are_recomputed(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         config = harness.config_from_dict(_tiny_config(
@@ -509,18 +529,41 @@ class TestCodecCache:
         harness.emit_report(harness.run_reconstruction_experiment(config),
                             tmp_path / "cold")
         entries = sorted(cache.iterdir())
-        assert [e.name.split("_")[0] for e in entries] == ["ae", "gft-grid"]
-        sizes = [e.stat().st_size for e in entries]
-        for entry in entries:  # as an interrupted write would leave them
-            entry.write_bytes(entry.read_bytes()[:entry.stat().st_size // 2])
-        capsys.readouterr()
-        harness.emit_report(harness.run_reconstruction_experiment(config),
-                            tmp_path / "rerun")
-        assert capsys.readouterr().err.count("warning: ignoring") == 2
-        assert [e.stat().st_size for e in entries] == sizes
-        assert sorted(cache.iterdir()) == entries  # no temp files left
-        assert ((tmp_path / "cold" / "report.csv").read_bytes()
-                == (tmp_path / "rerun" / "report.csv").read_bytes())
+        assert [e.name.split("_")[0] for e in entries] == ["ae"]
+        whole = entries[0].read_bytes()
+        archive = io.BytesIO()
+        np.savez(archive, a=np.zeros((36, 4)))
+        # cut short or empty, as an interrupted write would leave it, or
+        # the other format np.load reads
+        for i, damaged in enumerate((whole[:len(whole) // 2], b"",
+                                     archive.getvalue())):
+            entries[0].write_bytes(damaged)
+            capsys.readouterr()
+            harness.emit_report(harness.run_reconstruction_experiment(config),
+                                tmp_path / f"rerun-{i}")
+            assert capsys.readouterr().err.count("warning: ignoring") == 1
+            assert entries[0].read_bytes() == whole
+            assert sorted(cache.iterdir()) == entries  # no temp files left
+            assert ((tmp_path / "cold" / "report.csv").read_bytes()
+                    == (tmp_path / f"rerun-{i}" / "report.csv").read_bytes())
+
+    @pytest.mark.parametrize("values, problem", [
+        (np.zeros((36, 5)), "shape (36, 5)"),
+        (np.zeros((36, 4), dtype=np.float32), "float32"),
+        (np.full((36, 4), np.inf), "non-finite"),
+    ])
+    def test_entry_not_a_finite_float64_matrix_is_a_miss(self, tmp_path,
+                                                         capsys, values,
+                                                         problem):
+        path = tmp_path / "entry.npy"
+        np.save(path, values)
+        assert harness._read_cache(path, (36, 4)) is None
+        err = capsys.readouterr().err
+        assert err.startswith(f"warning: ignoring codec cache entry {path}: ")
+        assert problem in err and err.count("\n") == 1
+        good = Rng(3).uniform_matrix(36, 4, -1.0, 1.0)
+        harness._write_cache(path, good)
+        assert harness._read_cache(path, (36, 4)).tobytes() == good.tobytes()
 
 
 class TestEigDiagnostics:
@@ -961,6 +1004,15 @@ class TestCli:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "row 2" in err and "field larger than field limit" in err
 
+    def test_diverging_ae_is_a_one_line_error(self, tmp_path, capsys):
+        cfg_path = self._write_config(tmp_path, _tiny_config(
+            methods=["ae"], latent_dims=[4],
+            ae_schedule={"epochs": 3, "batch_size": 10, "lr0": 1e300}))
+        assert cli.main(["reconstruct", "--config", cfg_path,
+                         "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: codec matrix contains non-finite entries\n")
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["reconstruct", "--config",
                          str(tmp_path / "nope.json"),
@@ -1033,7 +1085,7 @@ _SHIPPED_CONFIGS = sorted(
     Path(__file__).resolve().parent.parent.glob("configs/*.json"))
 
 # prints, per shipped config, its config_hash and the codec-cache file
-# name of every coded (method, m); argv: cache dir, then config paths
+# name of its AE at every m; argv: cache dir, then config paths
 _DIGESTS_CODE = """
 import json, sys
 from gtslatent import harness
@@ -1043,8 +1095,7 @@ for path in sys.argv[2:]:
     raw["codec_cache_dir"] = sys.argv[1]
     config = harness.config_from_dict(raw)
     out.append([harness.config_hash(config)] + [
-        harness._cache_file(config, kind, 256, m).name
-        for kind in config.methods if kind != "raw"
+        harness._cache_file(config, 256, m).name
         for m in config.latent_dims])
 print(json.dumps(out))
 """

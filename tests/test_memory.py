@@ -82,18 +82,18 @@ def test_compute_basis_full(lap):
     assert codec.a.flags.c_contiguous
 
 
-def test_full_basis_with_cache(frames, tmp_path):
+def test_full_basis(frames):
     # measured 3.03: the Laplacian (its graph already freed) and
-    # sym_eig's two matrices, then at most 2.5 while the basis is
-    # written to the cache; was 4.03 with the graph alive throughout
+    # sym_eig's two matrices; was 4.03 with the graph alive throughout
     config = harness.config_from_dict({
         "dataset": {"type": "moving_crop", "crop": SIDE},
         "methods": ["gft-geo"], "latent_dims": [4], "train_fraction": 0.7,
-        "warmup": 2, "seed": 1, "codec_cache_dir": str(tmp_path)})
-    _, peak = _traced_peak(harness._full_basis, config, "gft-geo", frames,
-                           (SIDE, SIDE))
+        "warmup": 2, "seed": 1})
+    codec, peak = _traced_peak(
+        lambda: spectral.compute_basis(
+            harness._laplacian(config, "gft-geo", frames, (SIDE, SIDE)), N))
     assert peak <= 3.1
-    assert len(list(tmp_path.iterdir())) == 1
+    assert codec.m == N
 
 
 def test_load_stl10(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,32 @@ class TestSchedule:
         with pytest.raises(ValueError, match=f"^{label} must be an integer"):
             TrainSchedule(**{"epochs": 3, "batch_size": 1, "lr0": 0.1,
                              **fields})
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"lr0": "0.01"}, "lr0 must be a number, got '0.01'"),
+        ({"lr0": True}, "lr0 must be a number, got True"),
+        ({"wd0": "0"}, "wd0 must be a number, got '0'"),
+        ({"lr_milestones": 3}, "lr milestones must be a list of (epoch, "
+                               "divisor) pairs, got 3"),
+        ({"wd_milestones": [[1, 2, 3]]}, "wd milestones must be a list of"),
+        ({"lr_milestones": [[1, "10"]]},
+         "lr milestone divisor must be a number, got '10'"),
+        ({"wd_milestones": [[1, True]]},
+         "wd milestone divisor must be a number, got True"),
+    ])
+    def test_non_numbers_rejected(self, fields, message):
+        # the same checks a config's schedule block gets
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            TrainSchedule(**{"epochs": 3, "batch_size": 3, "lr0": 0.01,
+                             **fields})
+
+    def test_fields_kept_as_int_and_float(self):
+        sched = TrainSchedule(np.int64(3), 2, 1, lr_milestones=[[1, 2]],
+                              wd0=np.float32(0.5))
+        assert [type(v) for v in (sched.epochs, sched.lr0, sched.wd0)] == [
+            int, float, float]
+        assert sched.lr_milestones == ((1, 2.0),)
+        assert type(sched.lr_milestones[0][1]) is float
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
