@@ -8,13 +8,16 @@ Three subcommands, each driven by a JSON config file:
 * ``gen-data``    - generate a dataset and write it to disk.
 
 ``--seed`` overrides the config seed, ``--out`` picks the output
-directory.  Exit code is 0 on success, 1 with a diagnostic on stderr
-for any configuration or I/O error.
+directory, which is created before any work (and removed again if the
+run fails while it is empty).  The config is read as UTF-8 (RFC 8259).
+Exit code is 0 on success, 1 with a diagnostic on stderr for any
+configuration or I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -60,8 +63,9 @@ def _print_report(report):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    made_dir = None  # the output directory, once this run has created it
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError(f"config must be an object, got {raw!r}")
@@ -69,10 +73,12 @@ def main(argv=None) -> int:
             raw["seed"] = args.seed
         out_dir = args.out or raw.get("out_dir") or "gtslatent-out"
         config = harness.config_from_dict(raw)
+        if not os.path.isdir(out_dir):
+            os.makedirs(out_dir)
+            made_dir = out_dir
 
         if args.command == "gen-data":
             dataset = harness.build_dataset(config)
-            os.makedirs(out_dir, exist_ok=True)
             path = os.path.join(out_dir, "dataset.gts")
             data.save_dataset(path, dataset)
             print(f"wrote {dataset.count} sequences of "
@@ -98,6 +104,9 @@ def main(argv=None) -> int:
             print(f"  {label}: {path}")
         return 0
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+        if made_dir is not None:
+            with contextlib.suppress(OSError):  # not empty: keep it
+                os.rmdir(made_dir)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

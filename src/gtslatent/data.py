@@ -361,7 +361,7 @@ def _count_lines(path) -> int:
     return lines
 
 
-def save_csv_series(path, series, header=None) -> None:
+def save_csv_series(path, series) -> None:
     """Write a (timepoints, nodes) matrix as CSV with full float precision.
 
     The bytes are those of ``csv.writer`` (``\\r\\n`` line ends): a
@@ -371,8 +371,6 @@ def save_csv_series(path, series, header=None) -> None:
     """
     s = linalg.as_matrix(series, "series")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header is not None:
-            csv.writer(fh).writerow(header)
         fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in s)
 
 

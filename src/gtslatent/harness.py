@@ -35,7 +35,6 @@ from __future__ import annotations
 import dataclasses
 import html
 import json
-import math
 import os
 import sys
 import time
@@ -89,8 +88,7 @@ class ExperimentConfig:
     train_fraction: float
     warmup: int
     keep_fraction: float
-    grad_clip: float | None
-    latent_scale: float | str | None
+    latent_scale: str | None
     codec_cache_dir: str | None
     dump_predictions: bool
     source: dict     # raw config echo
@@ -114,15 +112,9 @@ class ExperimentConfig:
             raise ValueError("warmup must be at least 1")
         if not 0.0 < self.keep_fraction <= 1.0:
             raise ValueError("keep_fraction must be in (0, 1]")
-        if isinstance(self.latent_scale, str):
-            if self.latent_scale != "auto":
-                raise ValueError('latent_scale must be a number, "auto" or null')
-        elif (self.latent_scale is not None
-              and not 0.0 < self.latent_scale < math.inf):
-            raise ValueError("latent_scale must be positive and finite")
-        if self.grad_clip is not None and not 0.0 < self.grad_clip < math.inf:
-            raise ValueError(f"grad_clip must be positive and finite, got "
-                             f"{self.grad_clip!r}")
+        if self.latent_scale not in ("auto", None):
+            raise ValueError(f'latent_scale must be "auto" or null, got '
+                             f'{self.latent_scale!r}')
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +133,6 @@ def _typed(kind, what: str):
             raise ValueError(f"{label} must be {what}, got {value!r}")
         return value
     return check
-
-
-def _passing(kind, check):
-    """``check``, except that a ``kind`` passes through unchanged."""
-    return lambda value, label: (value if isinstance(value, kind)
-                                 else check(value, label))
 
 
 def _list_of(check, what: str):
@@ -191,6 +177,10 @@ def _schedule(block, label: str) -> TrainSchedule:
         raise ValueError(f"{label} {exc}") from exc
 
 
+def _unchecked(value, label):
+    return value
+
+
 _object = _typed(dict, "an object")
 _string = _typed(str, "a string")
 _path_or_null = _typed((str, type(None)), "a path or null")
@@ -206,8 +196,7 @@ _CONFIG_KEYS = {
     "train_fraction": (_as_float, 0.7),
     "warmup": (_as_int, 10),
     "keep_fraction": (_as_float, graphs.DEFAULT_KEEP_FRACTION),
-    "grad_clip": (_passing(type(None), _as_float), None),
-    "latent_scale": (_passing((str, type(None)), _as_float), None),
+    "latent_scale": (_unchecked, None),  # checked by ExperimentConfig
     "codec_cache_dir": (_path_or_null, None),
     "dump_predictions": (_typed(bool, "true or false"), False),
     "out_dir": (_path_or_null, None),  # read by the CLI
@@ -215,7 +204,7 @@ _CONFIG_KEYS = {
 
 # a schedule's keys are TrainSchedule's fields, which it checks itself
 _SCHEDULE_KEYS = {
-    f.name: (lambda value, label: value,
+    f.name: (_unchecked,
              _REQUIRED if f.default is dataclasses.MISSING else f.default)
     for f in dataclasses.fields(TrainSchedule)}
 
@@ -244,11 +233,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     values = _read_block(raw, _CONFIG_KEYS, "config", prefix="")
     del values["out_dir"]
     return ExperimentConfig(**values, source=dict(raw))
-
-
-def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return config_from_dict(json.load(fh))
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -599,12 +583,11 @@ def _predict(inputs: _CellInputs, codec: spectral.LinearCodec | None,
     if codec is not None:
         z_train_flat = spectral.encode_frames(codec, z_train_flat)
         z_test_flat = spectral.encode_frames(codec, z_test_flat)
+    scale = 1.0
     if config.latent_scale == "auto":
         # normalise each representation into the predictor's
         # output range by its own peak training magnitude
         scale = max(float(np.max(np.abs(z_train_flat))), 1e-12)
-    else:
-        scale = config.latent_scale if config.latent_scale else 1.0
     z_train = (z_train_flat / scale).reshape(num_train, t_len, m)
     z_test = (z_test_flat / scale).reshape(inputs.test_set.count, t_len, m)
 
@@ -617,9 +600,7 @@ def _predict(inputs: _CellInputs, codec: spectral.LinearCodec | None,
                                       method_ix, m))
     trained, history = lstm.train(
         cell0, z_train, config.lstm_schedule, config.warmup,
-        _stream(config.seed, _STREAM_LSTM_TRAIN, method_ix, m),
-        grad_clip=config.grad_clip,
-    )
+        _stream(config.seed, _STREAM_LSTM_TRAIN, method_ix, m))
     pred_mse = lstm.evaluate_prediction(
         trained, z_test, inputs.test_set.sequences, config.warmup, decode_fn)
     sample = None
@@ -757,9 +738,8 @@ def _escape(text: str) -> str:
     return html.escape(text, quote=False)
 
 
-def emit_plot(curves: dict, path, xlabel: str = "latent dimension m",
-              ylabel: str = "MSE", title: str | None = None) -> None:
-    """Render per-method (x, y) series as a standalone SVG line chart.
+def emit_plot(curves: dict, path, ylabel: str = "MSE") -> None:
+    """Render per-method (m, y) series as a standalone SVG line chart.
 
     One ``<polyline>`` per series; the plot area rectangle spans the
     min/max of the data on both axes.  Raises ``ValueError`` when no
@@ -798,12 +778,10 @@ def emit_plot(curves: dict, path, xlabel: str = "latent dimension m",
         f'<rect id="plot-area" x="{left}" y="{top}" width="{plot_w}" '
         f'height="{plot_h}" fill="none" stroke="black"/>',
     ]
-    if title:
-        parts.append(f'<text x="{left + plot_w / 2}" y="{top - 10}" '
-                     f'text-anchor="middle" font-size="14">{_escape(title)}</text>')
     # axis labels and end-point tick labels
     parts.append(f'<text x="{left + plot_w / 2}" y="{height - 15}" '
-                 f'text-anchor="middle" font-size="13">{_escape(xlabel)}</text>')
+                 'text-anchor="middle" font-size="13">'
+                 'latent dimension m</text>')
     parts.append(f'<text x="18" y="{top + plot_h / 2}" text-anchor="middle" '
                  f'font-size="13" transform="rotate(-90 18 {top + plot_h / 2})">'
                  f'{_escape(ylabel)}</text>')

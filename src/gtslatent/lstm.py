@@ -242,25 +242,13 @@ def loss_and_grad(cell: LstmCell, frames, warmup: int):
     return loss, _named(gflat, cell.m)
 
 
-def _clip_grads(gflat: np.ndarray, m: int, max_norm: float):
-    """Scale the gradient buffer ``gflat`` to global norm ``max_norm``.
-
-    The squared norm is summed per gate slice, in buffer order.
-    """
-    total = np.sqrt(sum(float(np.sum(g * g))
-                        for block in _blocks(gflat, m) for g in block))
-    if total > max_norm:
-        gflat *= max_norm / total
-
-
 def train(cell: LstmCell, sequences, schedule: TrainSchedule, warmup: int,
-          seed: int, grad_clip: float | None = None):
+          seed: int):
     """Mini-batch BPTT training with Adam; deterministic per seed.
 
     ``sequences`` is (S, T, m).  Gradients are averaged over the batch
-    (the batched loss already normalises by batch size).  Optional
-    global-norm gradient clipping to a positive ``grad_clip`` is off by
-    default.  Returns the trained cell and per-epoch mean training loss.
+    (the batched loss already normalises by batch size).  Returns the
+    trained cell and per-epoch mean training loss.
 
     The sequences are validated once, on entry.  Training steps a copy
     of ``cell.flat``: each batch zeroes one gradient buffer, accumulates
@@ -269,10 +257,6 @@ def train(cell: LstmCell, sequences, schedule: TrainSchedule, warmup: int,
     the first block that holds one.  The returned cell owns its buffer.
     """
     s = _sequences(sequences, cell.m, warmup)
-    if grad_clip is not None and not grad_clip > 0:
-        # a negative scale would turn every step into gradient ascent
-        raise ValueError(f"grad_clip must be positive, got {grad_clip!r}")
-
     pflat = cell.flat.copy()
     gflat = np.zeros_like(pflat)
     state = adam_init(pflat.shape)
@@ -287,8 +271,6 @@ def train(cell: LstmCell, sequences, schedule: TrainSchedule, warmup: int,
             loss, preds, cache, dpreds = _batch_loss(pflat, s[chunk], warmup)
             gflat[...] = 0.0
             _backward(pflat, warmup, preds, cache, dpreds, gflat)
-            if grad_clip is not None:
-                _clip_grads(gflat, cell.m, grad_clip)
             pflat = adam_step(state, pflat, gflat, lr, wd)
             if not np.isfinite(pflat).all():
                 bad = next(name for name, arr in _named(pflat, cell.m).items()

@@ -146,26 +146,3 @@ def schedule_at(schedule: TrainSchedule, epoch: int) -> tuple[float, float]:
         if at <= epoch:
             wd /= divisor
     return lr, wd
-
-
-# Published training recipes for the full-scale experiments.
-# Image autoencoder: 400 epochs, batches of 100, lr 1e-5, weight decay
-# 1e-5 divided by 10 at epochs 4 and 120.
-AE_IMAGE_SCHEDULE = TrainSchedule(
-    epochs=400, batch_size=100, lr0=1e-5,
-    wd0=1e-5, wd_milestones=((4, 10.0), (120, 10.0)),
-)
-
-# ROI-series autoencoder: 400 epochs, batches of 6, lr 1e-5 halved at
-# epoch 200, constant weight decay 1e-5.
-AE_ROI_SCHEDULE = TrainSchedule(
-    epochs=400, batch_size=6, lr0=1e-5, lr_milestones=((200, 2.0),),
-    wd0=1e-5,
-)
-
-# Sequence predictor: 600 epochs, batches of 6, lr 1e-3 halved at
-# epochs 200 and 400, no weight decay.
-LSTM_SCHEDULE = TrainSchedule(
-    epochs=600, batch_size=6, lr0=1e-3,
-    lr_milestones=((200, 2.0), (400, 2.0)),
-)

@@ -78,12 +78,14 @@ class TestConfig:
             harness.config_from_dict(_tiny_config(train_fraction=1.0))
 
     def test_bad_latent_scale(self):
-        with pytest.raises(ValueError):
-            harness.config_from_dict(_tiny_config(latent_scale="always"))
-        with pytest.raises(ValueError):
-            harness.config_from_dict(_tiny_config(latent_scale=-1.0))
-        harness.config_from_dict(_tiny_config(latent_scale="auto"))
-        harness.config_from_dict(_tiny_config(latent_scale=2.5))
+        # only "auto" and null: a fixed numeric scale is not an option
+        for bad in ("always", -1.0, 2.5, 1, float("nan")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f'latent_scale must be "auto" or null, got {bad!r}')):
+                harness.config_from_dict(_tiny_config(latent_scale=bad))
+        for good in ("auto", None):
+            config = harness.config_from_dict(_tiny_config(latent_scale=good))
+            assert config.latent_scale == good
 
     def test_unknown_dataset_type(self):
         config = harness.config_from_dict(
@@ -105,7 +107,8 @@ class TestConfig:
         ("ae_schedule", _schedule(lr0="0.01")),
         ("ae_schedule", 3), ("dataset", 3), ("methods", 5), ("methods", "ae"),
         ("train_fraction", None), ("keep_fraction", "0.5"),
-        ("grad_clip", True), ("latent_scale", True),
+        ("grad_clip", True),  # not a key any more: rejected by name
+        ("latent_scale", True),
         ("dump_predictions", "no"), ("dump_predictions", 1),
         ("codec_cache_dir", 5), ("out_dir", 5),
     ])
@@ -149,12 +152,6 @@ class TestConfig:
         config = harness.config_from_dict(_tiny_config(dataset=block))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             harness.build_dataset(config)
-
-    @pytest.mark.parametrize("grad_clip", [-1.0, 0.0, float("nan")])
-    def test_non_positive_grad_clip_rejected(self, grad_clip):
-        with pytest.raises(ValueError, match="grad_clip must be positive"):
-            harness.config_from_dict(_tiny_config(grad_clip=grad_clip))
-        harness.config_from_dict(_tiny_config(grad_clip=0.5))
 
     def test_hash_ignores_formatting_only(self):
         a = harness.config_from_dict(_tiny_config())
@@ -211,10 +208,11 @@ class TestConfigSchema:
             harness.config_from_dict(_tiny_config(latent_dims=[4, 9, 4]))
 
     @pytest.mark.parametrize("key, value, message", [
-        ("latent_scale", float("nan"), "latent_scale must be positive"),
-        ("latent_scale", float("inf"), "latent_scale must be positive"),
-        ("latent_scale", float("-inf"), "latent_scale must be positive"),
-        ("grad_clip", float("inf"), "grad_clip must be positive"),
+        ("latent_scale", float("nan"), 'latent_scale must be "auto" or null'),
+        ("latent_scale", float("inf"), 'latent_scale must be "auto" or null'),
+        ("latent_scale", float("-inf"),
+         'latent_scale must be "auto" or null'),
+        ("keep_fraction", float("nan"), "keep_fraction must be in"),
         ("ae_schedule", _schedule(lr0=float("nan")), "lr0 must be positive"),
         ("lstm_schedule", _schedule(lr0=float("inf")),
          "lr0 must be positive"),
@@ -259,10 +257,9 @@ class TestConfigSchema:
              "latent_dims": [], "seed": 3,
              "ae_schedule": {"epochs": 1, "batch_size": 2, "lr0": 0.1}})
         assert (config.train_fraction, config.warmup, config.keep_fraction,
-                config.grad_clip, config.latent_scale, config.codec_cache_dir,
+                config.latent_scale, config.codec_cache_dir,
                 config.dump_predictions, config.lstm_schedule) == (
-            0.7, 10, graphs.DEFAULT_KEEP_FRACTION, None, None, None, False,
-            None)
+            0.7, 10, graphs.DEFAULT_KEEP_FRACTION, None, None, False, None)
         assert config.ae_schedule == harness.TrainSchedule(1, 2, 0.1)
         dataset = harness.build_dataset(config)
         assert (dataset.count, dataset.num_frames) == (100, 20)
@@ -278,13 +275,25 @@ class TestConfigSchema:
     def test_shipped_configs_use_known_keys(self):
         assert _SHIPPED_CONFIGS
         for path in _SHIPPED_CONFIGS:
-            config = harness.load_config(path)
+            config = _load_config(path)
             kind, block = harness._read_typed_block(
                 config.dataset, harness._DATASET_KEYS, "dataset")
             if kind == "moving_crop":
                 harness._read_typed_block(block["source"],
                                           harness._SOURCE_KEYS,
                                           "dataset source", "textured")
+
+    def test_full_scale_config_holds_published_recipe(self):
+        config = _load_config(Path(__file__).resolve().parent.parent
+                              / "configs" / "full_scale_stl10.json")
+        # image AE: lr 1e-5, weight decay 1e-5 divided by 10 at epochs
+        # 4 and 120; predictor: lr 1e-3 halved at epochs 200 and 400
+        assert config.ae_schedule == harness.TrainSchedule(
+            epochs=400, batch_size=100, lr0=1e-5, wd0=1e-5,
+            wd_milestones=((4, 10.0), (120, 10.0)))
+        assert config.lstm_schedule == harness.TrainSchedule(
+            epochs=600, batch_size=6, lr0=1e-3,
+            lr_milestones=((200, 2.0), (400, 2.0)))
 
     def test_readme_schema_lists_exactly_the_table_keys(self):
         readme = (Path(__file__).resolve().parent.parent
@@ -816,16 +825,11 @@ class TestEmitPlot:
         # the labels of a plot with markup characters are escaped exactly
         # as xml.sax.saxutils.escape does: &, < and > only
         pts = [(1, 0.5), (2, 0.25)]
-        labels = {"title": "t&<>\"'1", "xlabel": "x&<>\"'2",
-                  "ylabel": "y&<>\"'3"}
-        name = "n&<>\"'4"
-        harness.emit_plot({name: pts}, tmp_path / "a.svg", **labels)
-        harness.emit_plot({"NAME": pts}, tmp_path / "b.svg", title="TITLE",
-                          xlabel="XLABEL", ylabel="YLABEL")
+        ylabel, name = "y&<>\"'3", "n&<>\"'4"
+        harness.emit_plot({name: pts}, tmp_path / "a.svg", ylabel=ylabel)
+        harness.emit_plot({"NAME": pts}, tmp_path / "b.svg", ylabel="YLABEL")
         expect = (tmp_path / "b.svg").read_text()
-        for text in (*labels.values(), name):
-            placeholder = {"t": "TITLE", "x": "XLABEL", "y": "YLABEL",
-                           "n": "NAME"}[text[0]]
+        for text, placeholder in ((ylabel, "YLABEL"), (name, "NAME")):
             assert expect.count(f">{placeholder}<") == 1
             expect = expect.replace(f">{placeholder}<",
                                     f">{xml_escape(text)}<")
@@ -955,7 +959,7 @@ class TestCli:
         ("latent_dims", 4), ("seed", None), ("latent_dims", [4.7]),
         ("methods", "ae"), ("methods", 5), ("dataset", 3), ("ae_schedule", 3),
         ("ae_schedule", _schedule(epochs=None)), ("train_fraction", None),
-        ("dump_predictions", "no"), ("grad_clip", -1.0),
+        ("dump_predictions", "no"), ("grad_clip", -1.0),  # an unknown key
         ("dataset", _crop_block(crop=6.9)), ("dataset", _crop_block(waves=2.5)),
     ])
     def test_malformed_types_exit_nonzero(self, tmp_path, capsys, key, value):
@@ -1013,6 +1017,44 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: codec matrix contains non-finite entries\n")
 
+    def test_unusable_out_fails_before_any_work(self, tmp_path, capsys):
+        # --out under a regular file: the run must not train and cache
+        # first and only then fail to write its report
+        (tmp_path / "file").write_text("")
+        cache = tmp_path / "cache"
+        cfg_path = self._write_config(tmp_path, _tiny_config(
+            methods=["ae"], latent_dims=[4], codec_cache_dir=str(cache)))
+        assert cli.main(["reconstruct", "--config", cfg_path,
+                         "--out", str(tmp_path / "file" / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Not a directory" in err
+        assert list(cache.glob("*")) == []
+
+    def test_failed_run_keeps_an_existing_out_dir(self, tmp_path, capsys):
+        (tmp_path / "out").mkdir()
+        cfg_path = self._write_config(tmp_path, _tiny_config(
+            dataset={"type": "mystery"}))
+        assert cli.main(["reconstruct", "--config", cfg_path,
+                         "--out", str(tmp_path / "out")]) == 1
+        assert (tmp_path / "out").is_dir()
+
+    def test_config_read_as_utf8_in_any_locale(self, tmp_path):
+        # RFC 8259: JSON text is UTF-8, whatever the locale's encoding
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_bytes(json.dumps(
+            _tiny_config(dataset={"type": "\u00e9"}),
+            ensure_ascii=False).encode("utf-8"))
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C",
+               "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        out = subprocess.run(
+            [sys.executable, "-m", "gtslatent.cli", "reconstruct",
+             "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+            capture_output=True, env=env)
+        assert out.returncode == 1
+        assert out.stderr.startswith(b"error: unknown dataset type")
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["reconstruct", "--config",
                          str(tmp_path / "nope.json"),
@@ -1040,6 +1082,9 @@ class TestCliRejectsBeforeAnyWork:
         (_tiny_config(dataset=_crop_block(sequencs=9)), "sequencs"),
         (_tiny_config(dataset={"type": "file", "path": "dataset.gts",
                                "meta": "dataset.json"}), "meta"),
+        # a config written for gradient clipping fails instead of
+        # silently training without it
+        (_tiny_config(grad_clip=0.5), "grad_clip"),
     ])
     def test_unknown_keys(self, tmp_path, capsys, cfg, key):
         assert f"unknown key {key!r}" in self._main(tmp_path, capsys, cfg,
@@ -1065,7 +1110,7 @@ class TestCliRejectsBeforeAnyWork:
     def test_non_finite_latent_scale(self, tmp_path, capsys):
         err = self._main(tmp_path, capsys,
                          _tiny_config(latent_scale=float("nan")), "predict")
-        assert "latent_scale must be positive" in err
+        assert err == 'error: latent_scale must be "auto" or null, got nan\n'
 
 
 def test_cli_import_leaves_urllib_request_unloaded():
@@ -1083,6 +1128,12 @@ def test_cli_import_leaves_urllib_request_unloaded():
 
 _SHIPPED_CONFIGS = sorted(
     Path(__file__).resolve().parent.parent.glob("configs/*.json"))
+
+
+def _load_config(path):
+    return harness.config_from_dict(json.loads(
+        Path(path).read_text(encoding="utf-8")))
+
 
 # prints, per shipped config, its config_hash and the codec-cache file
 # name of its AE at every m; argv: cache dir, then config paths
@@ -1115,7 +1166,7 @@ def _shipped_digests(tmp_path, prelude=""):
 def test_shipped_config_digests_equal_hashlib(tmp_path):
     assert _SHIPPED_CONFIGS
     for path in _SHIPPED_CONFIGS:
-        config = harness.load_config(path)
+        config = _load_config(path)
         blob = json.dumps(config.source, sort_keys=True,
                           separators=(",", ":"))
         assert (harness.config_hash(config)

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from gtslatent import optim
-from gtslatent.optim import (AE_IMAGE_SCHEDULE, AE_ROI_SCHEDULE, LSTM_SCHEDULE,
-                             TrainSchedule, adam_init, adam_step, schedule_at)
+from gtslatent.optim import TrainSchedule, adam_init, adam_step, schedule_at
+
+# the published recipes: image AE, ROI-series AE, sequence predictor
+IMAGE_AE = TrainSchedule(epochs=400, batch_size=100, lr0=1e-5, wd0=1e-5,
+                         wd_milestones=((4, 10.0), (120, 10.0)))
+ROI_AE = TrainSchedule(epochs=400, batch_size=6, lr0=1e-5,
+                       lr_milestones=((200, 2.0),), wd0=1e-5)
+LSTM = TrainSchedule(epochs=600, batch_size=6, lr0=1e-3,
+                     lr_milestones=((200, 2.0), (400, 2.0)))
 
 
 class TestAdam:
@@ -104,19 +111,19 @@ class TestAdam:
 
 class TestSchedule:
     def test_image_ae_schedule_start(self):
-        assert schedule_at(AE_IMAGE_SCHEDULE, 0) == (1e-5, 1e-5)
+        assert schedule_at(IMAGE_AE, 0) == (1e-5, 1e-5)
 
     def test_image_ae_schedule_after_both_decays(self):
-        lr, wd = schedule_at(AE_IMAGE_SCHEDULE, 130)
+        lr, wd = schedule_at(IMAGE_AE, 130)
         assert lr == 1e-5
         assert abs(wd - 1e-7) < 1e-20
 
     def test_roi_ae_schedule_halves_lr(self):
-        assert schedule_at(AE_ROI_SCHEDULE, 199) == (1e-5, 1e-5)
-        assert schedule_at(AE_ROI_SCHEDULE, 200) == (5e-6, 1e-5)
+        assert schedule_at(ROI_AE, 199) == (1e-5, 1e-5)
+        assert schedule_at(ROI_AE, 200) == (5e-6, 1e-5)
 
     def test_lstm_schedule_quarters_lr(self):
-        lr, wd = schedule_at(LSTM_SCHEDULE, 450)
+        lr, wd = schedule_at(LSTM, 450)
         assert abs(lr - 0.00025) < 1e-18
         assert wd == 0.0
 
@@ -127,16 +134,16 @@ class TestSchedule:
         assert schedule_at(sched, 4) == (0.5, 0.0)
 
     def test_piecewise_non_increasing(self):
-        for sched in (AE_IMAGE_SCHEDULE, AE_ROI_SCHEDULE, LSTM_SCHEDULE):
+        for sched in (IMAGE_AE, ROI_AE, LSTM):
             values = [schedule_at(sched, e) for e in range(sched.epochs)]
             for (lr0, wd0), (lr1, wd1) in zip(values, values[1:]):
                 assert lr1 <= lr0 and wd1 <= wd0
 
     def test_epoch_out_of_range(self):
         with pytest.raises(ValueError):
-            schedule_at(LSTM_SCHEDULE, 600)
+            schedule_at(LSTM, 600)
         with pytest.raises(ValueError):
-            schedule_at(LSTM_SCHEDULE, -1)
+            schedule_at(LSTM, -1)
 
     @pytest.mark.parametrize("fields, label", [
         ({"epochs": 2.5}, "epochs"), ({"batch_size": 1.0}, "batch_size"),
@@ -190,10 +197,3 @@ class TestSchedule:
         with pytest.raises(ValueError):
             TrainSchedule(epochs=9, batch_size=1, lr0=1.0,
                           lr_milestones=((5, 0.0),))
-
-    def test_paper_schedule_constants(self):
-        assert AE_IMAGE_SCHEDULE.epochs == 400
-        assert AE_IMAGE_SCHEDULE.batch_size == 100
-        assert AE_ROI_SCHEDULE.batch_size == 6
-        assert LSTM_SCHEDULE.epochs == 600
-        assert LSTM_SCHEDULE.batch_size == 6
