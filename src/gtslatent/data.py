@@ -29,6 +29,7 @@ from . import linalg
 from .rng import Rng, derive_seed
 
 STL10_IMAGE_BYTES = 3 * 96 * 96
+TEXTURE_WAVES, TEXTURE_CYCLES = 6, (1.5, 4.0)  # see generate_textured_images
 
 
 @dataclass(frozen=True)
@@ -137,31 +138,27 @@ def load_stl10(path) -> ImageSet:
     return ImageSet(gray)
 
 
-def generate_textured_images(count: int, height: int, width: int, seed: int,
-                             waves: int = 24, min_cycles: float = 1.0,
-                             max_cycles: float = 12.0) -> ImageSet:
+def generate_textured_images(count: int, height: int, width: int,
+                             seed: int) -> ImageSet:
     """Random smooth textures from one shared family of plane waves.
 
-    A wave table of ``waves`` (frequency, orientation, amplitude)
-    triples is drawn once from the seed: frequency magnitudes between
-    ``min_cycles`` and ``max_cycles`` cycles per image, amplitudes
-    falling off as ``cycles**-1.3``, orientations biased
-    towards horizontal so the pixel-covariance ensemble is anisotropic.
-    Each image then randomises the phases and mildly jitters the
-    amplitudes (independent stream per image) and is rescaled to peak
-    amplitude 1.  Like the natural photographs it stands in for, the
-    ensemble is dominated by smooth structure but keeps an energetic
-    spectral tail, and all images share their statistics, so windows
-    cropped from different images move under common dynamics.
+    A table of ``TEXTURE_WAVES`` (6) plane waves (frequency, orientation,
+    amplitude) is drawn once from the seed: frequency magnitudes of 1.5
+    to 4 cycles per image (``TEXTURE_CYCLES``), amplitudes falling off
+    as ``cycles**-1.3``, orientations biased towards horizontal so the
+    pixel-covariance ensemble is anisotropic.  Each image then
+    randomises the phases and mildly jitters the amplitudes (independent
+    stream per image) and is rescaled to peak amplitude 1.  The ensemble
+    is smooth and of low rank (two dimensions per wave), and all images
+    share their statistics, so windows cropped from different images
+    move under common dynamics.
     """
     if count < 1 or height < 1 or width < 1:
         raise ValueError("count and dimensions must be positive")
-    if waves < 1:
-        raise ValueError("need at least one wave")
     table_rng = Rng(derive_seed(seed, 2 ** 32))  # clear of per-image streams
     table = []
-    for _ in range(waves):
-        cycles = table_rng.uniform_in(min_cycles, max_cycles)
+    for _ in range(TEXTURE_WAVES):
+        cycles = table_rng.uniform_in(*TEXTURE_CYCLES)
         angle = (table_rng.uniform_in(-0.35, 0.35)
                  + (np.pi if table_rng.randint(2) else 0.0))
         amp = table_rng.uniform_in(0.5, 1.0) * cycles ** -1.3

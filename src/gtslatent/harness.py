@@ -79,7 +79,7 @@ def _stream(seed: int, tag: int, *indices: int) -> int:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A checked config; :func:`config_from_dict` builds it from JSON."""
-    dataset: dict    # raw dataset block, checked by build_dataset
+    dataset: dict    # checked dataset block: type and defaults filled in
     methods: tuple
     latent_dims: tuple
     seed: int
@@ -160,13 +160,14 @@ def _read_block(block, table: dict, label: str, prefix: str | None = None):
     return values
 
 
-def _read_typed_block(block, tables: dict, label: str,
-                      default_type=None) -> tuple:
-    """(type, values) of a block whose ``type`` key picks its table."""
-    kind = _object(block, label).get("type", default_type)
-    if not (isinstance(kind, str) and kind in tables):
-        raise ValueError(f"unknown {label} type {kind!r}")
-    return kind, _read_block(block, tables[kind], label)
+def _typed_block(tables: dict, default_type=None):
+    """A check for a block whose ``type`` key picks its table."""
+    def check(block, label):
+        kind = _object(block, label).get("type", default_type)
+        if not (isinstance(kind, str) and kind in tables):
+            raise ValueError(f"unknown {label} type {kind!r}")
+        return {**_read_block(block, tables[kind], label), "type": kind}
+    return check
 
 
 def _schedule(block, label: str) -> TrainSchedule:
@@ -181,13 +182,47 @@ def _unchecked(value, label):
     return value
 
 
+def _non_empty(check):
+    """``check``, and no empty path string (it would name the cwd)."""
+    def checked(value, label):
+        if check(value, label) == "":
+            raise ValueError(f"{label} must be a non-empty path, got ''")
+        return value
+    return checked
+
+
 _object = _typed(dict, "an object")
 _string = _typed(str, "a string")
-_path_or_null = _typed((str, type(None)), "a path or null")
-_TYPE = {"type": (_string, None)}  # checked by _read_typed_block
+_path = _non_empty(_string)
+_path_or_null = _non_empty(_typed((str, type(None)), "a path or null"))
+_TYPE = {"type": (_string, None)}  # checked by _typed_block
+
+# a schedule's keys are TrainSchedule's fields, which it checks itself
+_SCHEDULE_KEYS = {
+    f.name: (_unchecked,
+             _REQUIRED if f.default is dataclasses.MISSING else f.default)
+    for f in dataclasses.fields(TrainSchedule)}
+
+_SOURCE_KEYS = {
+    "textured": {**_TYPE, "count": (_as_int, None),  # None: the sequences
+                 "height": (_as_int, 96), "width": (_as_int, 96)},
+    "stl10": {**_TYPE, "path": (_path, _REQUIRED)},
+}
+_source = _typed_block(_SOURCE_KEYS, default_type="textured")
+
+_DATASET_KEYS = {
+    "moving_crop": {**_TYPE, "source": (_source, _source({}, "source")),
+                    "crop": (_as_int, 45), "frames": (_as_int, 20),
+                    "sequences": (_as_int, None)},  # None: one per image
+    "moving_sprite": {**_TYPE, "canvas": (_as_int, 64),
+                      "sprite": (_as_int, 12), "frames": (_as_int, 20),
+                      "sequences": (_as_int, 100)},
+    "file": {**_TYPE, "path": (_path, _REQUIRED)},
+    "csv": {**_TYPE, "path": (_path, _REQUIRED), "frames": (_as_int, 20)},
+}
 
 _CONFIG_KEYS = {
-    "dataset": (_object, _REQUIRED),
+    "dataset": (_typed_block(_DATASET_KEYS), _REQUIRED),
     "methods": (_list_of(_string, "a list"), _REQUIRED),
     "latent_dims": (_list_of(_as_int, "a list of integers"), _REQUIRED),
     "seed": (_as_int, _REQUIRED),
@@ -200,31 +235,6 @@ _CONFIG_KEYS = {
     "codec_cache_dir": (_path_or_null, None),
     "dump_predictions": (_typed(bool, "true or false"), False),
     "out_dir": (_path_or_null, None),  # read by the CLI
-}
-
-# a schedule's keys are TrainSchedule's fields, which it checks itself
-_SCHEDULE_KEYS = {
-    f.name: (_unchecked,
-             _REQUIRED if f.default is dataclasses.MISSING else f.default)
-    for f in dataclasses.fields(TrainSchedule)}
-
-_DATASET_KEYS = {
-    "moving_crop": {**_TYPE, "source": (_object, {}), "crop": (_as_int, 45),
-                    "frames": (_as_int, 20),
-                    "sequences": (_as_int, None)},  # None: one per image
-    "moving_sprite": {**_TYPE, "canvas": (_as_int, 64),
-                      "sprite": (_as_int, 12), "frames": (_as_int, 20),
-                      "sequences": (_as_int, 100)},
-    "file": {**_TYPE, "path": (_string, _REQUIRED)},
-    "csv": {**_TYPE, "path": (_string, _REQUIRED), "frames": (_as_int, 20)},
-}
-
-_SOURCE_KEYS = {
-    "textured": {**_TYPE, "count": (_as_int, None),  # None: the sequences
-                 "height": (_as_int, 96), "width": (_as_int, 96),
-                 "waves": (_as_int, 6), "min_cycles": (_as_float, 1.5),
-                 "max_cycles": (_as_float, 4.0)},
-    "stl10": {**_TYPE, "path": (_string, _REQUIRED)},
 }
 
 
@@ -247,11 +257,17 @@ def config_hash(config: ExperimentConfig) -> str:
 
 def build_dataset(config: ExperimentConfig) -> data.SequenceDataset:
     """Generate or load the dataset described by the config."""
-    kind, block = _read_typed_block(config.dataset, _DATASET_KEYS, "dataset")
+    block, kind = config.dataset, config.dataset["type"]
     seed = _stream(config.seed, _STREAM_DATA)
     if kind == "moving_crop":
-        images = _build_images(block["source"], block["sequences"], seed)
-        count = block["sequences"]
+        source, count = block["source"], block["sequences"]
+        if source["type"] == "stl10":
+            images = data.load_stl10(source["path"])
+        else:  # by default one image per sequence (100 if neither is set)
+            num_images = count if source["count"] is None else source["count"]
+            images = data.generate_textured_images(
+                100 if num_images is None else num_images, source["height"],
+                source["width"], seed=derive_seed(seed, 0))
         return data.generate_moving_crop_dataset(
             images, crop=block["crop"], frames_per_sequence=block["frames"],
             count=images.count if count is None else count, seed=seed)
@@ -266,22 +282,6 @@ def build_dataset(config: ExperimentConfig) -> data.SequenceDataset:
                                       block["frames"])
 
 
-def _build_images(source: dict, sequences: int | None,
-                  seed: int) -> data.ImageSet:
-    """The images a moving-crop dataset of ``sequences`` crops is cut from."""
-    kind, source = _read_typed_block(source, _SOURCE_KEYS, "dataset source",
-                                     default_type="textured")
-    if kind == "stl10":
-        return data.load_stl10(source["path"])
-    count = source["count"]
-    if count is None:
-        count = 100 if sequences is None else sequences
-    return data.generate_textured_images(
-        count=count, height=source["height"], width=source["width"],
-        seed=derive_seed(seed, 0), waves=source["waves"],
-        min_cycles=source["min_cycles"], max_cycles=source["max_cycles"])
-
-
 # ---------------------------------------------------------------------------
 # codecs
 
@@ -292,7 +292,7 @@ def _cache_file(config, n: int, m: int) -> Path | None:
         return None
     # key only on what determines the trained matrix
     relevant = {
-        "dataset": config.dataset,
+        "dataset": config.source["dataset"],  # as given: names stay stable
         "seed": config.seed,
         "train_fraction": config.train_fraction,
         "kind": "ae",  # kept, so each AE entry keeps its earlier digest

@@ -242,6 +242,7 @@ def loss_and_grad(cell: LstmCell, frames, warmup: int):
     return loss, _named(gflat, cell.m)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a divergence is one error
 def train(cell: LstmCell, sequences, schedule: TrainSchedule, warmup: int,
           seed: int):
     """Mini-batch BPTT training with Adam; deterministic per seed.
@@ -253,8 +254,8 @@ def train(cell: LstmCell, sequences, schedule: TrainSchedule, warmup: int,
     The sequences are validated once, on entry.  Training steps a copy
     of ``cell.flat``: each batch zeroes one gradient buffer, accumulates
     into it, and makes one Adam step over the whole parameter buffer.
-    A step that leaves a non-finite entry raises a ``ValueError`` naming
-    the first block that holds one.  The returned cell owns its buffer.
+    A diverging step gives no overflow warnings but one ``ValueError``
+    naming the first non-finite block.  The returned cell owns its buffer.
     """
     s = _sequences(sequences, cell.m, warmup)
     pflat = cell.flat.copy()

@@ -94,8 +94,6 @@ class TestTexturedImages:
     def test_validation(self):
         with pytest.raises(ValueError):
             data.generate_textured_images(0, 8, 8, seed=1)
-        with pytest.raises(ValueError):
-            data.generate_textured_images(1, 8, 8, seed=1, waves=0)
 
 
 class TestMovingCrop:
