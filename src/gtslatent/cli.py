@@ -65,6 +65,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     made_dir = None  # the output directory, once this run has created it
     try:
+        if args.out == "":  # would otherwise fall back to the default
+            raise ValueError("--out must be a non-empty path, got ''")
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):

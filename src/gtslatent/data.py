@@ -17,6 +17,7 @@ little-endian float32 in row-major order.
 
 from __future__ import annotations
 
+import array
 import csv
 import math
 import os
@@ -30,35 +31,6 @@ from .rng import Rng, derive_seed
 
 STL10_IMAGE_BYTES = 3 * 96 * 96
 TEXTURE_WAVES, TEXTURE_CYCLES = 6, (1.5, 4.0)  # see generate_textured_images
-
-
-@dataclass(frozen=True)
-class ImageSet:
-    """Grayscale images with pixel values in [-1, 1]; shape (count, h, w)."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.pixels, dtype=np.float64)
-        if p.ndim != 3:
-            raise ValueError(f"pixels must be 3-D, got shape {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("pixels contain non-finite values")
-        if p.size and (p.min() < -1.0 or p.max() > 1.0):
-            raise ValueError("pixels must lie in [-1, 1]")
-        object.__setattr__(self, "pixels", p)
-
-    @property
-    def count(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[2]
 
 
 @dataclass(frozen=True)
@@ -106,12 +78,13 @@ class SequenceDataset:
         return self.sequences.reshape(-1, self.sequences.shape[2])
 
 
-def load_stl10(path) -> ImageSet:
-    """Read an STL-10 binary image file into grayscale [-1, 1] images.
+def load_stl10(path) -> np.ndarray:
+    """Read an STL-10 binary image file as (count, 96, 96) grayscale images.
 
     Layout: per image 3 channel planes (R, G, B), each a 96x96 block of
     unsigned bytes in column-major order.  Channels are mixed with the
-    BT.601 luma weights and scaled with v/127.5 - 1.
+    BT.601 luma weights and scaled with v/127.5 - 1, so every pixel lies
+    in [-1, 1]: 0 maps to -1 and a white pixel to 1.
 
     The file is converted 8 images at a time into the result, with the
     operations of a whole-file conversion, so the peak is about the
@@ -135,11 +108,11 @@ def load_stl10(path) -> ImageSet:
             out += 0.114 * planes[:, 2]
     gray /= 127.5
     gray -= 1.0
-    return ImageSet(gray)
+    return gray
 
 
 def generate_textured_images(count: int, height: int, width: int,
-                             seed: int) -> ImageSet:
+                             seed: int) -> np.ndarray:
     """Random smooth textures from one shared family of plane waves.
 
     A table of ``TEXTURE_WAVES`` (6) plane waves (frequency, orientation,
@@ -148,7 +121,8 @@ def generate_textured_images(count: int, height: int, width: int,
     as ``cycles**-1.3``, orientations biased towards horizontal so the
     pixel-covariance ensemble is anisotropic.  Each image then
     randomises the phases and mildly jitters the amplitudes (independent
-    stream per image) and is rescaled to peak amplitude 1.  The ensemble
+    stream per image) and is rescaled to peak amplitude 1, so the
+    (count, height, width) result lies in [-1, 1].  The ensemble
     is smooth and of low rank (two dimensions per wave), and all images
     share their statistics, so windows cropped from different images
     move under common dynamics.
@@ -178,37 +152,38 @@ def generate_textured_images(count: int, height: int, width: int,
                                          + phase)
         peak = np.max(np.abs(img))
         images[idx] = img / peak if peak > 0 else img
-    return ImageSet(images)
+    return images
 
 
-def generate_moving_crop_dataset(images: ImageSet, crop: int,
+def generate_moving_crop_dataset(images: np.ndarray, crop: int,
                                  frames_per_sequence: int, count: int,
                                  seed: int) -> SequenceDataset:
     """One windowed-random-walk sequence per source image.
 
-    The ``crop`` x ``crop`` window starts at a uniform position, then
-    moves one pixel per frame in a direction chosen uniformly among the
-    moves that keep it inside the image (it stays put only when the
-    window fills the image).  Frame t is the flattened window content
-    at position t.
+    ``images`` is a (count, h, w) array.  The ``crop`` x ``crop`` window
+    starts at a uniform position, then moves one pixel per frame in a
+    direction chosen uniformly among the moves that keep it inside the
+    image (it stays put only when the window fills the image).  Frame t
+    is the flattened window content at position t.
     """
-    if crop < 1 or crop > images.height or crop > images.width:
-        raise ValueError(
-            f"crop {crop} does not fit in {images.height}x{images.width} images"
-        )
+    if images.ndim != 3:
+        raise ValueError(f"images must be 3-D, got shape {images.shape}")
+    num_images, height, width = images.shape
+    if crop < 1 or crop > height or crop > width:
+        raise ValueError(f"crop {crop} does not fit in {height}x{width} images")
     if frames_per_sequence < 1:
         raise ValueError("need at least 1 frame per sequence")
-    if not 1 <= count <= images.count:
+    if not 1 <= count <= num_images:
         raise ValueError(
-            f"count {count} outside [1, {images.count}] (one sequence per image)"
+            f"count {count} outside [1, {num_images}] (one sequence per image)"
         )
 
-    max_r = images.height - crop
-    max_c = images.width - crop
+    max_r = height - crop
+    max_c = width - crop
     out = np.empty((count, frames_per_sequence, crop * crop))
     for s in range(count):
         rng = Rng(derive_seed(seed, s))
-        img = images.pixels[s]
+        img = images[s]
         r = rng.randint(max_r + 1)
         c = rng.randint(max_c + 1)
         for t in range(frames_per_sequence):
@@ -293,69 +268,44 @@ def load_csv_series(path) -> np.ndarray:
     field over its size limit) raises ``ValueError`` with its line
     number too.
 
-    Memory: a first binary pass counts the file's lines, which bounds
-    its rows.  The first data row then sets the width of a matrix with
-    that many rows, and every row is converted to float64 and written
-    straight into it, so only one row of cell strings is alive at a
-    time and the peak is the result plus a few spare rows (one per
-    header or blank line).  The result is a view of that matrix's first
-    rows.
+    Memory: the file is read once.  Each data row is parsed with
+    ``float()`` into a list that is appended to one growing buffer of
+    float64 values, so only one row of cell strings is alive at a time
+    and the peak is about 1.2 times the result (the buffer's spare
+    growth room, the finiteness mask and one row).  The result is a
+    (rows, width) view of that buffer.
     """
-    lines = _count_lines(path)
-    out, rows, header = None, 0, False
+    buf, width, header = array.array("d"), None, False
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             for row in reader:
                 if not row:
                     continue
-                if out is not None and len(row) != out.shape[1]:
+                if width is not None and len(row) != width:
                     raise ValueError(
                         f"{path}: row {reader.line_num} has {len(row)} "
-                        f"cells, expected {out.shape[1]}"
+                        f"cells, expected {width}"
                     )
                 try:
-                    values = np.array(row, dtype=np.float64)
+                    values = list(map(float, row))
                 except ValueError as exc:
-                    if out is not None or header:
+                    if width is not None or header:
                         raise ValueError(f"{path}: non-numeric cell in row "
                                          f"{reader.line_num}") from exc
                     header = True
                     continue
-                if out is None:
-                    # this row, and at most one more per line after it
-                    out = np.empty((lines - reader.line_num + 1, len(row)))
-                elif rows == out.shape[0]:
-                    raise ValueError(f"{path}: file changed while read")
-                out[rows] = values
-                rows += 1
+                width = len(row)
+                buf.fromlist(values)
         except csv.Error as exc:
             raise ValueError(f"{path}: row {reader.line_num}: {exc}") from exc
-    if out is None:
+    if width is None:
         raise ValueError(f"{path}: only a header row, no data" if header
                          else f"{path}: empty CSV")
-    data = out[:rows]
+    data = np.frombuffer(buf).reshape(-1, width)
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: contains non-finite values")
     return data
-
-
-def _count_lines(path) -> int:
-    """Lines ``csv.reader`` can see in a file opened with ``newline=""``.
-
-    Those lines end at ``\\r\\n``, ``\\n`` or ``\\r``; the count is one
-    more than the line ends, which is exact for a file whose last line
-    has no end.  Read in 64 KiB chunks, so it holds no copy of the file.
-    """
-    lines, after_cr = 1, False
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 16):
-            lines += (chunk.count(b"\n") + chunk.count(b"\r")
-                      - chunk.count(b"\r\n"))
-            if after_cr and chunk.startswith(b"\n"):
-                lines -= 1  # a \r\n split between two chunks
-            after_cr = chunk.endswith(b"\r")
-    return lines
 
 
 def save_csv_series(path, series) -> None:

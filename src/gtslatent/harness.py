@@ -88,7 +88,6 @@ class ExperimentConfig:
     train_fraction: float
     warmup: int
     keep_fraction: float
-    latent_scale: str | None
     codec_cache_dir: str | None
     dump_predictions: bool
     source: dict     # raw config echo
@@ -112,9 +111,6 @@ class ExperimentConfig:
             raise ValueError("warmup must be at least 1")
         if not 0.0 < self.keep_fraction <= 1.0:
             raise ValueError("keep_fraction must be in (0, 1]")
-        if self.latent_scale not in ("auto", None):
-            raise ValueError(f'latent_scale must be "auto" or null, got '
-                             f'{self.latent_scale!r}')
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +178,13 @@ def _unchecked(value, label):
     return value
 
 
+def _auto(value, label):
+    """``latent_scale``'s only value, so configs that spell it out load."""
+    if value != "auto":
+        raise ValueError(f'{label} must be "auto", got {value!r}')
+    return value
+
+
 def _non_empty(check):
     """``check``, and no empty path string (it would name the cwd)."""
     def checked(value, label):
@@ -231,7 +234,7 @@ _CONFIG_KEYS = {
     "train_fraction": (_as_float, 0.7),
     "warmup": (_as_int, 10),
     "keep_fraction": (_as_float, graphs.DEFAULT_KEEP_FRACTION),
-    "latent_scale": (_unchecked, None),  # checked by ExperimentConfig
+    "latent_scale": (_auto, "auto"),  # latents are always scaled
     "codec_cache_dir": (_path_or_null, None),
     "dump_predictions": (_typed(bool, "true or false"), False),
     "out_dir": (_path_or_null, None),  # read by the CLI
@@ -241,7 +244,7 @@ _CONFIG_KEYS = {
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a parsed JSON config and build an ExperimentConfig."""
     values = _read_block(raw, _CONFIG_KEYS, "config", prefix="")
-    del values["out_dir"]
+    del values["out_dir"], values["latent_scale"]
     return ExperimentConfig(**values, source=dict(raw))
 
 
@@ -270,7 +273,7 @@ def build_dataset(config: ExperimentConfig) -> data.SequenceDataset:
                 source["width"], seed=derive_seed(seed, 0))
         return data.generate_moving_crop_dataset(
             images, crop=block["crop"], frames_per_sequence=block["frames"],
-            count=images.count if count is None else count, seed=seed)
+            count=len(images) if count is None else count, seed=seed)
     if kind == "moving_sprite":
         return data.generate_moving_sprite_dataset(
             canvas=block["canvas"], sprite=block["sprite"],
@@ -583,11 +586,10 @@ def _predict(inputs: _CellInputs, codec: spectral.LinearCodec | None,
     if codec is not None:
         z_train_flat = spectral.encode_frames(codec, z_train_flat)
         z_test_flat = spectral.encode_frames(codec, z_test_flat)
-    scale = 1.0
-    if config.latent_scale == "auto":
-        # normalise each representation into the predictor's
-        # output range by its own peak training magnitude
-        scale = max(float(np.max(np.abs(z_train_flat))), 1e-12)
+    # the LSTM predicts o*tanh(c), which lies in (-1, 1): each
+    # representation is divided by its own peak training magnitude, or
+    # every latent beyond +-1 would be a target the model cannot reach
+    scale = max(float(np.max(np.abs(z_train_flat))), 1e-12)
     z_train = (z_train_flat / scale).reshape(num_train, t_len, m)
     z_test = (z_test_flat / scale).reshape(inputs.test_set.count, t_len, m)
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import hashlib
 import io
 import json
@@ -16,7 +17,7 @@ from xml.sax.saxutils import escape as xml_escape
 import numpy as np
 import pytest
 
-from gtslatent import cli, data, graphs, harness, linalg, spectral
+from gtslatent import cli, data, graphs, harness, linalg, lstm, spectral
 from gtslatent.rng import Rng
 
 
@@ -76,14 +77,15 @@ class TestConfig:
             harness.config_from_dict(_tiny_config(train_fraction=1.0))
 
     def test_bad_latent_scale(self):
-        # only "auto" and null: a fixed numeric scale is not an option
-        for bad in ("always", -1.0, 2.5, 1, float("nan")):
+        # latents are always scaled: "auto" may be spelt out, and nothing
+        # else, null included, is an option
+        for bad in ("always", -1.0, 2.5, 1, float("nan"), None):
             with pytest.raises(ValueError, match=re.escape(
-                    f'latent_scale must be "auto" or null, got {bad!r}')):
+                    f'latent_scale must be "auto", got {bad!r}')):
                 harness.config_from_dict(_tiny_config(latent_scale=bad))
-        for good in ("auto", None):
-            config = harness.config_from_dict(_tiny_config(latent_scale=good))
-            assert config.latent_scale == good
+        harness.config_from_dict(_tiny_config(latent_scale="auto"))
+        assert "latent_scale" not in {
+            f.name for f in dataclasses.fields(harness.ExperimentConfig)}
 
     def test_unknown_dataset_type(self):
         with pytest.raises(ValueError,
@@ -203,10 +205,10 @@ class TestConfigSchema:
             harness.config_from_dict(_tiny_config(latent_dims=[4, 9, 4]))
 
     @pytest.mark.parametrize("key, value, message", [
-        ("latent_scale", float("nan"), 'latent_scale must be "auto" or null'),
-        ("latent_scale", float("inf"), 'latent_scale must be "auto" or null'),
+        ("latent_scale", float("nan"), 'latent_scale must be "auto", got nan'),
+        ("latent_scale", float("inf"), 'latent_scale must be "auto", got inf'),
         ("latent_scale", float("-inf"),
-         'latent_scale must be "auto" or null'),
+         'latent_scale must be "auto", got -inf'),
         ("keep_fraction", float("nan"), "keep_fraction must be in"),
         ("ae_schedule", _schedule(lr0=float("nan")), "lr0 must be positive"),
         ("lstm_schedule", _schedule(lr0=float("inf")),
@@ -252,9 +254,9 @@ class TestConfigSchema:
              "latent_dims": [], "seed": 3,
              "ae_schedule": {"epochs": 1, "batch_size": 2, "lr0": 0.1}})
         assert (config.train_fraction, config.warmup, config.keep_fraction,
-                config.latent_scale, config.codec_cache_dir,
-                config.dump_predictions, config.lstm_schedule) == (
-            0.7, 10, graphs.DEFAULT_KEEP_FRACTION, None, None, False, None)
+                config.codec_cache_dir, config.dump_predictions,
+                config.lstm_schedule) == (
+            0.7, 10, graphs.DEFAULT_KEEP_FRACTION, None, False, None)
         assert config.ae_schedule == harness.TrainSchedule(1, 2, 0.1)
         dataset = harness.build_dataset(config)
         assert (dataset.count, dataset.num_frames) == (100, 20)
@@ -433,6 +435,25 @@ class TestPredictionExperiment:
         assert (tmp_path / "pred_gft-grid_m4.gts").exists()
         dims, values = data.load_tensor(tmp_path / "pred_gft-grid_m4.gts")
         assert dims == (4, 36)  # T - warmup free-run frames, n pixels
+
+    def test_latents_always_scaled_into_lstm_range(self, monkeypatch):
+        # the LSTM's output o*tanh(c) lies in (-1, 1), so with no
+        # latent_scale key every cell still trains on latents that
+        # peak at exactly 1
+        peaks = []
+        real = lstm.train
+
+        def recording(cell, sequences, *args):
+            peaks.append(float(np.max(np.abs(sequences))))
+            return real(cell, sequences, *args)
+
+        config = harness.config_from_dict(_tiny_config(latent_dims=[4, 9]))
+        with monkeypatch.context() as mp:  # one CPU: the cells run here
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0},
+                       raising=False)
+            mp.setattr(lstm, "train", recording)
+            report = harness.run_prediction_experiment(config)
+        assert peaks == [1.0] * len(report.cells)
 
     def test_determinism_byte_identical_csv(self, tmp_path):
         cfg = _tiny_config(latent_dims=[4, 9])
@@ -849,7 +870,7 @@ class TestFullMethodMatrix:
         # the crop->encode->predict pipeline on it (no eigensolver
         # methods: ae/raw keep the 45x45-crop test fast)
         images = data.generate_textured_images(6, 96, 96, seed=77)
-        rgb = np.clip((images.pixels + 1.0) * 127.5, 0, 255).astype(np.uint8)
+        rgb = np.clip((images + 1.0) * 127.5, 0, 255).astype(np.uint8)
         path = tmp_path / "train_X.bin"
         with open(path, "wb") as fh:
             for img in rgb:
@@ -1034,6 +1055,15 @@ class TestCli:
             "error: dataset source has unknown key 'heigth'")
         assert made == []
 
+    def test_empty_out_rejected(self, tmp_path, capsys, monkeypatch):
+        # "" used to fall back to ./gtslatent-out and write there
+        cfg_path = self._write_config(tmp_path, _tiny_config())
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["gen-data", "--config", cfg_path, "--out", ""]) == 1
+        assert (capsys.readouterr().err
+                == "error: --out must be a non-empty path, got ''\n")
+        assert not (tmp_path / "gtslatent-out").exists()
+
     def test_unusable_out_fails_before_any_work(self, tmp_path, capsys):
         # --out under a regular file: the run must not train and cache
         # first and only then fail to write its report
@@ -1127,7 +1157,7 @@ class TestCliRejectsBeforeAnyWork:
     def test_non_finite_latent_scale(self, tmp_path, capsys):
         err = self._main(tmp_path, capsys,
                          _tiny_config(latent_scale=float("nan")), "predict")
-        assert err == 'error: latent_scale must be "auto" or null, got nan\n'
+        assert err == 'error: latent_scale must be "auto", got nan\n'
 
 
 def test_cli_import_leaves_urllib_request_unloaded():

@@ -97,9 +97,9 @@ def test_full_basis(frames):
 
 
 def test_load_stl10(tmp_path):
-    # measured 1.24 results: the result, one 8-image block's bytes and
-    # float64 temporary, and ImageSet's finiteness mask (was 5.50 with
-    # the whole file's bytes and float64 planes alive at once)
+    # measured 1.24 results: the result, and one 8-image block's bytes
+    # and float64 temporary (was 5.50 with the whole file's bytes and
+    # float64 planes alive at once)
     path = tmp_path / "images.bin"
     count = 50
     path.write_bytes(Rng(6).uniform_matrix(count, data.STL10_IMAGE_BYTES,
@@ -110,5 +110,5 @@ def test_load_stl10(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert images.count == count
-    assert peak <= 1.5 * images.pixels.nbytes
+    assert images.shape == (count, 96, 96)
+    assert peak <= 1.5 * images.nbytes
