@@ -16,7 +16,8 @@ Modules:
   the truncated graph Fourier transform
 * ``ae``       - tied-weight linear autoencoder (a ``LinearCodec``) and
   its training
-* ``optim``    - Adam and milestone schedules
+* ``optim``    - Adam, milestone schedules and the one mini-batch
+  training loop
 * ``lstm``     - FC-LSTM cell, warm-up/free-run rollout, BPTT
 * ``data``     - dataset generators, STL-10/CSV ingestion, GTS1 tensors
 * ``harness``  - experiment driver, reports, plots

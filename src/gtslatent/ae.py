@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import linalg
-from .optim import TrainSchedule, adam_init, adam_step, schedule_at
+from . import linalg, optim
+from .optim import TrainSchedule
 from .rng import Rng
 from .spectral import LinearCodec
 
@@ -60,42 +60,18 @@ def _loss_and_grad(a: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
 
 def train(codec: LinearCodec, frames, schedule: TrainSchedule,
           seed: int) -> tuple[LinearCodec, np.ndarray]:
-    """SGD over shuffled mini-batches with Adam; deterministic per seed.
+    """Train the codec with :func:`optim.train`, one frame per item.
 
-    Returns the trained codec and the per-epoch mean training loss
-    (batch losses weighted by batch size).  The mini-batch order is
-    reshuffled every epoch; a final partial batch is used as-is.
-
-    The frames are validated once, on entry.  Each batch then runs the
-    unchecked loss kernel on the working matrix and one Adam step; no
-    codec is built until the end.  A step that leaves a non-finite
-    entry raises the ``ValueError`` that building the codec would, and
-    the overflow that led to it raises no numpy warning.
+    Returns the trained codec and the per-epoch mean training loss.  The
+    frames are validated once; each batch runs the unchecked loss kernel
+    on the working matrix, and the codec is built only at the end.
     """
     x = linalg.as_matrix(frames, "frames")
     if x.shape[0] == 0:
         raise ValueError("training set must be non-empty")
     if x.shape[1] != codec.n:
         raise ValueError(f"frame length {x.shape[1]} != n={codec.n}")
-
-    a = codec.a.copy()
-    state = adam_init(a.shape)
-    num = x.shape[0]
-    history = np.zeros(schedule.epochs)
-    orders = Rng(seed).permutations(num, schedule.epochs)
-    # a diverging run overflows in the matmuls and Adam's divide; the
-    # finiteness check after each step reports that as one error
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch, order in enumerate(orders):
-            lr, wd = schedule_at(schedule, epoch)
-            total = 0.0
-            for start in range(0, num, schedule.batch_size):
-                chunk = order[start:start + schedule.batch_size]
-                loss, grad = _loss_and_grad(a, x[chunk])
-                a = adam_step(state, a, grad, lr, wd)
-                if not np.isfinite(a).all():
-                    raise ValueError("codec matrix contains non-finite "
-                                     "entries")
-                total += loss * len(chunk)
-            history[epoch] = total / num
+    a, history = optim.train(codec.a, x.shape[0], schedule, seed,
+                             lambda a, idx: _loss_and_grad(a, x[idx]),
+                             lambda a: [("codec matrix", a)])
     return LinearCodec(a), history

@@ -13,9 +13,12 @@ byte-identical CSV output.
 
 Codec cache: with ``codec_cache_dir`` set, each trained AE matrix, the
 one result that takes hours to recompute at full scale, is stored as a
-float64 ``.npy`` entry and read back bit for bit.  So a run with a
-cold cache, a warm cache or none reports exactly the same numbers.
-Spectral bases are always recomputed.
+float64 ``.npy`` entry and read back bit for bit.  An entry is keyed
+on the sha256 of the training frames' bytes, the seed and the AE
+schedule, so a regenerated data file at the same path never reads an
+AE trained on other frames.  So a run with a cold cache, a warm cache
+or none reports exactly the same numbers.  Spectral bases are always
+recomputed.
 
 Where the work runs: this process builds and splits the dataset,
 computes each spectral method's full basis once, and does all
@@ -289,27 +292,27 @@ def build_dataset(config: ExperimentConfig) -> data.SequenceDataset:
 # codecs
 
 
-def _cache_file(config, n: int, m: int) -> Path | None:
-    """The codec-cache entry of the AE trained at (n, m); None without a cache."""
-    if config.codec_cache_dir is None:
-        return None
-    # key only on what determines the trained matrix
-    relevant = {
-        "dataset": config.source["dataset"],  # as given: names stay stable
-        "seed": config.seed,
-        "train_fraction": config.train_fraction,
-        "kind": "ae",  # kept, so each AE entry keeps its earlier digest
-        "ae_schedule": (dataclasses.asdict(config.ae_schedule)
-                        if config.ae_schedule else None),
-    }
+def _cache_files(config, train_frames: np.ndarray) -> dict:
+    """m -> the codec-cache entry of the AE trained at m; empty without one.
+
+    The key holds only what determines the trained matrix: the bytes of
+    the training frames (so a regenerated file, or another split, gets
+    new entries), the seed and the AE schedule.
+    """
+    if config.codec_cache_dir is None or "ae" not in config.methods:
+        return {}
+    relevant = {"frames": _sha256(train_frames).hexdigest(),
+                "seed": config.seed,
+                "ae_schedule": dataclasses.asdict(config.ae_schedule)}
     blob = json.dumps(relevant, sort_keys=True, separators=(",", ":"))
     digest = _sha256(blob.encode()).hexdigest()[:16]
     out = Path(config.codec_cache_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out / f"ae_n{n}_m{m}_{digest}.npy"
+    n = train_frames.shape[-1]
+    return {m: out / f"ae_n{n}_m{m}_{digest}.npy" for m in config.latent_dims}
 
 
-def _read_cache(path: Path | None, shape: tuple) -> np.ndarray | None:
+def _read_cache(path: Path, shape: tuple) -> np.ndarray | None:
     """A cached AE matrix, or None on a miss.
 
     An entry that cannot be read (e.g. a file truncated by an
@@ -317,7 +320,7 @@ def _read_cache(path: Path | None, shape: tuple) -> np.ndarray | None:
     counts as a miss: it is reported on stderr and the caller
     recomputes and overwrites it.
     """
-    if path is None or not path.exists():
+    if not path.exists():
         return None
     try:
         # the .npy reader behind np.load, which would also open a zip
@@ -397,6 +400,7 @@ class _CellInputs:
     test_set: data.SequenceDataset
     bases: dict      # spectral method -> its full basis (a LinearCodec)
     ae_cached: dict  # m -> the cached AE matrix, or None on a miss
+    cache_files: dict  # m -> the AE's codec-cache entry; empty without one
 
 
 def _fit_codec(inputs: _CellInputs, cell: ReportCell) -> tuple:
@@ -537,16 +541,14 @@ def _run_experiment(config: ExperimentConfig, predict: bool) -> Report:
     # so cache warnings reach this process's stderr in that order; the
     # cache holds only trained AE matrices, bit for bit, so a cached run
     # reports exactly what an uncached one does
-    bases, ae_cached = {}, {}
-    for method in config.methods:
-        if method == "ae":
-            for m in config.latent_dims:
-                ae_cached[m] = _read_cache(_cache_file(config, n, m), (n, m))
-        elif method != "raw":
-            bases[method] = spectral.compute_basis(
-                _laplacian(config, method, train_set.frames(), frame_shape), n)
+    cache_files = _cache_files(config, train_set.sequences)
+    ae_cached = {m: _read_cache(path, (n, m))
+                 for m, path in cache_files.items()}
+    bases = {method: spectral.compute_basis(
+                 _laplacian(config, method, train_set.frames(), frame_shape), n)
+             for method in config.methods if method not in ("ae", "raw")}
     inputs = _CellInputs(config, predict, train_set, test_set, bases,
-                         ae_cached)
+                         ae_cached, cache_files)
     cells = _run_cells(inputs, [(method, m) for method in config.methods
                                 for m in _dims_for(config, method, n)])
     return Report("prediction" if predict else "reconstruction",
@@ -603,12 +605,11 @@ def _predict(inputs: _CellInputs, codec: spectral.LinearCodec | None,
     trained, history = lstm.train(
         cell0, z_train, config.lstm_schedule, config.warmup,
         _stream(config.seed, _STREAM_LSTM_TRAIN, method_ix, m))
-    pred_mse = lstm.evaluate_prediction(
+    pred_mse, decoded = lstm.evaluate_prediction(
         trained, z_test, inputs.test_set.sequences, config.warmup, decode_fn)
-    sample = None
-    if config.dump_predictions:
-        preds = lstm.rollout(trained, z_test[:1], config.warmup)
-        sample = decode_fn(preds[0, config.warmup - 1:, :])
+    # the first test sequence's scored predictions, not a view that
+    # would keep every decoded prediction alive
+    sample = decoded[0].copy() if config.dump_predictions else None
     return pred_mse, [float(v) for v in history], sample
 
 
@@ -683,11 +684,10 @@ def _run_cells(inputs: _CellInputs, cells: list) -> list:
             futures = {i: pool.submit(_worker_cell, *cells[i])
                        for i in _submission_order(inputs, cells)}
             results = (futures[i].result() for i in range(len(cells)))
-        n = inputs.train_set.frame_dim
         report_cells = []
         for (method, m), (cell, trained) in zip(cells, results):
             if trained is not None:  # only this process writes the cache
-                _write_cache(_cache_file(inputs.config, n, m), trained)
+                _write_cache(inputs.cache_files[m], trained)
             report_cells.append(cell)
         return report_cells
     finally:

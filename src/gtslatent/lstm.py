@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .optim import TrainSchedule, adam_init, adam_step, schedule_at
+from . import linalg, optim
+from .optim import TrainSchedule
 from .rng import Rng
 
 
@@ -242,44 +242,27 @@ def loss_and_grad(cell: LstmCell, frames, warmup: int):
     return loss, _named(gflat, cell.m)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a divergence is one error
 def train(cell: LstmCell, sequences, schedule: TrainSchedule, warmup: int,
           seed: int):
-    """Mini-batch BPTT training with Adam; deterministic per seed.
+    """Mini-batch BPTT with :func:`optim.train`, one sequence per item.
 
-    ``sequences`` is (S, T, m).  Gradients are averaged over the batch
-    (the batched loss already normalises by batch size).  Returns the
-    trained cell and per-epoch mean training loss.
-
-    The sequences are validated once, on entry.  Training steps a copy
-    of ``cell.flat``: each batch zeroes one gradient buffer, accumulates
-    into it, and makes one Adam step over the whole parameter buffer.
-    A diverging step gives no overflow warnings but one ``ValueError``
-    naming the first non-finite block.  The returned cell owns its buffer.
+    ``sequences`` is (S, T, m) and is validated once.  Returns the
+    trained cell, which owns its buffer, and the per-epoch mean loss.
+    Each batch zeroes one reused gradient buffer and accumulates into it.
     """
     s = _sequences(sequences, cell.m, warmup)
-    pflat = cell.flat.copy()
-    gflat = np.zeros_like(pflat)
-    state = adam_init(pflat.shape)
-    num = s.shape[0]
-    history = np.zeros(schedule.epochs)
-    orders = Rng(seed).permutations(num, schedule.epochs)
-    for epoch, order in enumerate(orders):
-        lr, wd = schedule_at(schedule, epoch)
-        total = 0.0
-        for start in range(0, num, schedule.batch_size):
-            chunk = order[start:start + schedule.batch_size]
-            loss, preds, cache, dpreds = _batch_loss(pflat, s[chunk], warmup)
-            gflat[...] = 0.0
-            _backward(pflat, warmup, preds, cache, dpreds, gflat)
-            pflat = adam_step(state, pflat, gflat, lr, wd)
-            if not np.isfinite(pflat).all():
-                bad = next(name for name, arr in _named(pflat, cell.m).items()
-                           if not np.isfinite(arr).all())
-                raise ValueError(f"{bad} contains non-finite entries")
-            total += loss * len(chunk)
-        history[epoch] = total / num
-    return LstmCell(cell.m, pflat), history
+    gflat = np.zeros_like(cell.flat)
+
+    def loss_and_grad(flat, idx):
+        loss, preds, cache, dpreds = _batch_loss(flat, s[idx], warmup)
+        gflat[...] = 0.0
+        _backward(flat, warmup, preds, cache, dpreds, gflat)
+        return loss, gflat
+
+    flat, history = optim.train(cell.flat, s.shape[0], schedule, seed,
+                                loss_and_grad,
+                                lambda p: _named(p, cell.m).items())
+    return LstmCell(cell.m, flat), history
 
 
 def rollout(cell: LstmCell, sequences, warmup: int) -> np.ndarray:
@@ -295,14 +278,15 @@ def rollout(cell: LstmCell, sequences, warmup: int) -> np.ndarray:
 
 
 def evaluate_prediction(cell: LstmCell, latent_sequences, raw_sequences,
-                        warmup: int, decode_fn) -> float:
+                        warmup: int, decode_fn) -> tuple[float, np.ndarray]:
     """Pixel-space free-run prediction MSE over a test set.
 
     Rolls the cell over the latent test sequences, decodes the
     predictions of the frames after the warm-up phase with
     ``decode_fn`` (mapping a (k, m) stack to (k, n)), and returns the
     mean over sequences of the MSE against the corresponding raw
-    frames.  Pass an identity ``decode_fn`` for uncompressed inputs.
+    frames, with the (S, T-warmup, n) decoded predictions it scored.
+    Pass an identity ``decode_fn`` for uncompressed inputs.
     """
     z = _sequences(latent_sequences, cell.m, warmup)
     raw = np.asarray(raw_sequences, dtype=np.float64)
@@ -317,4 +301,4 @@ def evaluate_prediction(cell: LstmCell, latent_sequences, raw_sequences,
     decoded = decoded.reshape(num_seq, num_eval, -1)
     targets = raw[:, warmup:, :]
     per_seq = np.mean((decoded - targets) ** 2, axis=(1, 2))
-    return float(np.mean(per_seq))
+    return float(np.mean(per_seq)), decoded

@@ -1,9 +1,11 @@
-"""Adam optimizer and milestone learning-rate / weight-decay schedules.
+"""Adam, milestone learning-rate / weight-decay schedules, and the
+mini-batch loop that trains every model of the package.
 
 Classic Adam with the L2 penalty folded into the gradient (coupled
 decay, not AdamW-style decoupled decay).  Schedules are piecewise
 constant: a milestone ``(epoch, divisor)`` divides the base value from
-that epoch onward, inclusive.
+that epoch onward, inclusive.  :func:`train` runs both over seeded,
+shuffled mini-batches.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_float, as_int
+from .rng import Rng
 
 
 #: Adam's moment decay rates and denominator offset, the published
-#: defaults; every training loop in the package uses them
+#: defaults; :func:`train` uses them for every model
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
@@ -146,3 +149,40 @@ def schedule_at(schedule: TrainSchedule, epoch: int) -> tuple[float, float]:
         if at <= epoch:
             wd /= divisor
     return lr, wd
+
+
+def train(params: np.ndarray, num: int, schedule: TrainSchedule, seed: int,
+          loss_and_grad, parts) -> tuple[np.ndarray, np.ndarray]:
+    """Mini-batch Adam over ``num`` items; deterministic per seed.
+
+    Each epoch visits the items in a fresh ``Rng(seed).permutations``
+    order, in batches of ``schedule.batch_size`` indices (a final
+    partial batch is used as-is), at that epoch's :func:`schedule_at`.
+    ``loss_and_grad(params, idx)`` gives the mean loss over items
+    ``idx`` and its gradient; each batch makes one Adam step.  The
+    caller's ``params`` is never written nor shared with the result.
+
+    Returns the trained params and the per-epoch mean loss, each batch
+    weighted by its size.  A step that leaves a non-finite entry raises
+    ``ValueError("<name> contains non-finite entries")`` for the first
+    such ``(name, view)`` of ``parts(params)``, with no numpy warning.
+    """
+    params = params.copy()
+    state = adam_init(params.shape)
+    history = np.zeros(schedule.epochs)
+    orders = Rng(seed).permutations(num, schedule.epochs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch, order in enumerate(orders):
+            lr, wd = schedule_at(schedule, epoch)
+            total = 0.0
+            for start in range(0, num, schedule.batch_size):
+                idx = order[start:start + schedule.batch_size]
+                loss, grad = loss_and_grad(params, idx)
+                params = adam_step(state, params, grad, lr, wd)
+                if not np.isfinite(params).all():
+                    bad = next(name for name, view in parts(params)
+                               if not np.isfinite(view).all())
+                    raise ValueError(f"{bad} contains non-finite entries")
+                total += loss * len(idx)
+            history[epoch] = total / num
+    return params, history

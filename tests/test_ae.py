@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gtslatent import ae, linalg, spectral
+from gtslatent import ae, linalg, optim, spectral
 from gtslatent.optim import TrainSchedule, adam_step, schedule_at
 from gtslatent.rng import Rng
 
@@ -244,7 +244,7 @@ class TestTrain:
             steps.append(bool(np.isfinite(out).all()))
             return out
 
-        monkeypatch.setattr(ae, "adam_step", counted)
+        monkeypatch.setattr(optim, "adam_step", counted)
         codec = ae.init_codec(6, 2, seed=1)
         frames = Rng(2).uniform_matrix(10, 6, -1.0, 1.0)
         sched = TrainSchedule(epochs=3, batch_size=4, lr0=1e300)

@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import multiprocessing
@@ -298,25 +299,26 @@ class TestConfigSchema:
         assert documented == set().union(*tables)
 
     def test_shipped_config_digests_unchanged(self, tmp_path):
-        # the config hash and codec-cache names of earlier releases, so
-        # existing reports and caches stay valid
+        # the config hash of earlier releases, so existing reports stay
+        # valid, and the codec-cache names of this key, so caches do
         root = Path(__file__).resolve().parent.parent / "configs"
+        frames = np.arange(2 * 3 * 256, dtype=np.float64).reshape(2, 3, 256)
         expected = {
             "desk_predict": (
                 "c67e0bf14e4ab5bc68352ce2110b4c692641ff807d53cc0c4e6fc71a3688ebc6",
-                ["ae_n256_m64_4aed60cf3119b3e4.npy"]),
+                ["ae_n256_m64_50c44ae302e6faca.npy"]),
             "full_scale_stl10": (
                 "e7544b2f2df3938dbbed5a6d2e2ce3868bb4fc81686061de933496450b428e20",
-                ["ae_n256_m500_070e7832c93cd5e8.npy",
-                 "ae_n256_m1000_070e7832c93cd5e8.npy"]),
+                ["ae_n256_m500_689e41713ab23411.npy",
+                 "ae_n256_m1000_689e41713ab23411.npy"]),
         }
         for name, (digest, cache_names) in expected.items():
             raw = json.loads((root / f"{name}.json").read_text())
             assert harness.config_hash(harness.config_from_dict(raw)) == digest
             config = harness.config_from_dict(
                 dict(raw, codec_cache_dir=str(tmp_path)))
-            assert [harness._cache_file(config, 256, m).name
-                    for m in config.latent_dims] == cache_names
+            assert [path.name for path in harness._cache_files(
+                config, frames).values()] == cache_names
 
 
 class TestCompatibility:
@@ -455,6 +457,28 @@ class TestPredictionExperiment:
             report = harness.run_prediction_experiment(config)
         assert peaks == [1.0] * len(report.cells)
 
+    def test_dumped_prediction_is_the_scored_one(self, monkeypatch):
+        scored = []
+        real = lstm.evaluate_prediction
+
+        def recording(*args):
+            mse, decoded = real(*args)
+            scored.append(decoded)
+            return mse, decoded
+
+        config = harness.config_from_dict(_tiny_config(
+            latent_dims=[4], dump_predictions=True))
+        with monkeypatch.context() as mp:  # one CPU: the cells run here
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0},
+                       raising=False)
+            mp.setattr(lstm, "evaluate_prediction", recording)
+            report = harness.run_prediction_experiment(config)
+        assert len(scored) == len(report.cells) == 4
+        for cell, decoded in zip(report.cells, scored):
+            assert decoded.shape == (3, 4, 36)  # test sequences, T - warmup, n
+            assert cell.sample_prediction.tobytes() == decoded[0].tobytes()
+            assert not np.shares_memory(cell.sample_prediction, decoded)
+
     def test_determinism_byte_identical_csv(self, tmp_path):
         cfg = _tiny_config(latent_dims=[4, 9])
         config = harness.config_from_dict(cfg)
@@ -511,25 +535,36 @@ class TestCodecCache:
             assert none == warm
 
     def test_cache_key_holds_only_determining_fields(self, tmp_path):
-        base = _tiny_config(methods=["gft-grid", "ae"], latent_dims=[4],
-                            codec_cache_dir=str(tmp_path / "cache"))
-        a = harness.config_from_dict(base)
+        base = _tiny_config(methods=["ae"], latent_dims=[4])
+        runs = itertools.count()
+
+        def entry(raw):
+            """The name of the m=4 AE entry a run of ``raw`` writes."""
+            cache = tmp_path / f"key{next(runs)}"  # the dir is not keyed
+            harness.run_reconstruction_experiment(harness.config_from_dict(
+                dict(raw, codec_cache_dir=str(cache))))
+            return next(cache.glob("ae_n36_m4_*.npy")).name
+
+        key = entry(base)
+        assert re.fullmatch(r"ae_n36_m4_[0-9a-f]{16}\.npy", key)
         # nothing the AE training does not read changes its key
-        same = harness.config_from_dict(dict(
-            base, methods=["ae"], latent_dims=[9], keep_fraction=0.3,
-            warmup=3, latent_scale="auto", dump_predictions=True,
-            lstm_schedule=dict(base["lstm_schedule"], epochs=5)))
-        assert (harness._cache_file(a, 36, 4)
-                == harness._cache_file(same, 36, 4))
-        # and each field it reads does
+        assert entry(dict(
+            base, methods=["ae", "raw"], latent_dims=[4, 9],
+            keep_fraction=0.3, warmup=3, latent_scale="auto",
+            dump_predictions=True,
+            lstm_schedule=dict(base["lstm_schedule"], epochs=5))) == key
+        # and each field it reads does: the seed, the AE schedule, and
+        # the training frames, which the split and the dataset determine
         for change in ({"ae_schedule": dict(base["ae_schedule"], epochs=3)},
                        {"seed": 12}, {"train_fraction": 0.6},
                        {"dataset": _crop_block(sequences=9)}):
-            other = harness.config_from_dict(dict(base, **change))
-            assert (harness._cache_file(a, 36, 4)
-                    != harness._cache_file(other, 36, 4))
+            assert entry(dict(base, **change)) != key
+        filled = _tiny_config(methods=["gft-grid", "ae"], latent_dims=[4],
+                              codec_cache_dir=str(tmp_path / "cache"))
+        a = harness.config_from_dict(filled)
         # a cache filled under another ae_schedule serves b like a cold run
-        other = dict(base, ae_schedule=dict(base["ae_schedule"], epochs=3))
+        other = dict(filled,
+                     ae_schedule=dict(filled["ae_schedule"], epochs=3))
         b = harness.config_from_dict(other)
         harness.run_reconstruction_experiment(a)
         warm = harness.run_reconstruction_experiment(b)
@@ -539,6 +574,27 @@ class TestCodecCache:
         harness.emit_report(cold, tmp_path / "cold-out")
         assert ((tmp_path / "warm" / "report.csv").read_bytes()
                 == (tmp_path / "cold-out" / "report.csv").read_bytes())
+
+    def test_regenerated_file_gets_a_fresh_codec(self, tmp_path):
+        # a file dataset's config holds only its path: rewriting the
+        # file must not serve the AE trained on its old frames
+        path = tmp_path / "frames.gts"
+        raw = _tiny_config(dataset={"type": "file", "path": str(path)},
+                           methods=["ae"], latent_dims=[4],
+                           codec_cache_dir=str(tmp_path / "cache"))
+
+        def recon_mse(cfg):
+            report = harness.run_reconstruction_experiment(
+                harness.config_from_dict(cfg))
+            return report.cells[0].recon_mse
+
+        for seed in (11, 7):  # the same path, other frames
+            data.save_dataset(path, harness.build_dataset(
+                harness.config_from_dict(_tiny_config(seed=seed))))
+            cached = recon_mse(raw)
+            assert cached == recon_mse(dict(raw, codec_cache_dir=None))
+            assert recon_mse(raw) == cached  # the warm rerun
+        assert len(list((tmp_path / "cache").iterdir())) == 2
 
     def test_truncated_entries_are_recomputed(self, tmp_path, capsys):
         cache = tmp_path / "cache"
@@ -1183,18 +1239,20 @@ def _load_config(path):
 
 
 # prints, per shipped config, its config_hash and the codec-cache file
-# name of its AE at every m; argv: cache dir, then config paths
+# name of its AE at every m for fixed training frames; argv: cache dir,
+# then config paths
 _DIGESTS_CODE = """
 import json, sys
+import numpy as np
 from gtslatent import harness
+frames = np.linspace(-1.0, 1.0, 2 * 3 * 256).reshape(2, 3, 256)
 out = []
 for path in sys.argv[2:]:
     raw = json.load(open(path))
     raw["codec_cache_dir"] = sys.argv[1]
     config = harness.config_from_dict(raw)
     out.append([harness.config_hash(config)] + [
-        harness._cache_file(config, 256, m).name
-        for m in config.latent_dims])
+        entry.name for entry in harness._cache_files(config, frames).values()])
 print(json.dumps(out))
 """
 

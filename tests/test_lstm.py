@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gtslatent import lstm
+from gtslatent import lstm, optim
 from gtslatent.optim import TrainSchedule, adam_step, schedule_at
 from gtslatent.rng import Rng
 
@@ -343,8 +343,8 @@ class TestRunSequence:
         assert preds.shape == (5, m)
         assert np.array_equal(preds, np.zeros((5, m)))
         # evaluation MSE equals the mean energy of the scored frames
-        mse = lstm.evaluate_prediction(cell, frames[None], frames[None], 2,
-                                       lambda z: z)
+        mse, _ = lstm.evaluate_prediction(cell, frames[None], frames[None],
+                                          2, lambda z: z)
         assert abs(mse - np.mean(frames[2:] ** 2)) < 1e-14
 
     def test_full_warmup_boundary(self):
@@ -445,8 +445,9 @@ class TestTrain:
         cell = lstm.init_cell(3, seed=21)
         sched = TrainSchedule(epochs=60, batch_size=3, lr0=0.01)
         trained, _ = lstm.train(cell, seqs, sched, warmup=2, seed=22)
-        before = lstm.evaluate_prediction(cell, seqs, seqs, 2, lambda z: z)
-        after = lstm.evaluate_prediction(trained, seqs, seqs, 2, lambda z: z)
+        before, _ = lstm.evaluate_prediction(cell, seqs, seqs, 2, lambda z: z)
+        after, _ = lstm.evaluate_prediction(trained, seqs, seqs, 2,
+                                            lambda z: z)
         assert after < before
 
     def test_same_seed_bitwise_history(self):
@@ -482,7 +483,7 @@ class TestTrain:
             steps.append(bool(np.isfinite(out).all()))
             return out
 
-        monkeypatch.setattr(lstm, "adam_step", counted)
+        monkeypatch.setattr(optim, "adam_step", counted)
         cell = lstm.init_cell(3, seed=4)
         seqs = Rng(5).uniform_matrix(24, 3, -1, 1).reshape(4, 6, 3)
         sched = TrainSchedule(epochs=3, batch_size=2, lr0=1e308)
@@ -555,16 +556,35 @@ class TestEvaluate:
         m = 2
         cell = _zero_cell(m)
         seqs = np.zeros((3, 5, m))
-        assert lstm.evaluate_prediction(cell, seqs, seqs, 2, lambda z: z) == 0.0
+        mse, decoded = lstm.evaluate_prediction(cell, seqs, seqs, 2,
+                                                lambda z: z)
+        assert mse == 0.0
+        assert np.array_equal(decoded, np.zeros((3, 3, m)))
 
     def test_decoder_applied(self):
         cell = lstm.init_cell(2, seed=30)
         z = Rng(31).uniform_matrix(5, 2, -1, 1).reshape(1, 5, 2)
         raw = np.concatenate([z, z], axis=2)  # n = 2m, duplicated latents
         duplicate = lambda zz: np.concatenate([zz, zz], axis=1)
-        err = lstm.evaluate_prediction(cell, z, raw, 2, duplicate)
-        direct = lstm.evaluate_prediction(cell, z, z, 2, lambda zz: zz)
+        err, decoded = lstm.evaluate_prediction(cell, z, raw, 2, duplicate)
+        direct, _ = lstm.evaluate_prediction(cell, z, z, 2, lambda zz: zz)
         assert abs(err - direct) < 1e-14
+        assert decoded.shape == (1, 3, 4)
+
+    def test_returns_the_decoded_predictions_it_scored(self):
+        cell = lstm.init_cell(3, seed=33)
+        z = Rng(34).uniform_matrix(4 * 6, 3, -1, 1).reshape(4, 6, 3)
+        raw = Rng(35).uniform_matrix(4 * 6, 5, -1, 1).reshape(4, 6, 5)
+        lift = Rng(36).uniform_matrix(3, 5, -1, 1)
+        mse, decoded = lstm.evaluate_prediction(cell, z, raw, 2,
+                                                lambda zz: zz @ lift)
+        # the free-run predictions of frames 3..6, decoded, per sequence
+        free = lstm.rollout(cell, z, 2)[:, 1:, :]
+        assert decoded.shape == (4, 4, 5)
+        assert np.allclose(decoded, free @ lift, rtol=0, atol=1e-14)
+        # and the MSE is exactly the one of these predictions
+        per_seq = np.mean((decoded - raw[:, 2:, :]) ** 2, axis=(1, 2))
+        assert mse == float(np.mean(per_seq))
 
     def test_shape_validation(self):
         cell = lstm.init_cell(2, seed=32)

@@ -5,6 +5,7 @@ import pytest
 
 from gtslatent import optim
 from gtslatent.optim import TrainSchedule, adam_init, adam_step, schedule_at
+from gtslatent.rng import Rng
 
 # the published recipes: image AE, ROI-series AE, sequence predictor
 IMAGE_AE = TrainSchedule(epochs=400, batch_size=100, lr0=1e-5, wd0=1e-5,
@@ -197,3 +198,80 @@ class TestSchedule:
         with pytest.raises(ValueError):
             TrainSchedule(epochs=9, batch_size=1, lr0=1.0,
                           lr_milestones=((5, 0.0),))
+
+
+class TestTrain:
+    """``optim.train`` on a toy problem that uses neither model: fit a
+    vector ``p`` to item targets ``y`` under the loss mean((p - y_i)^2)."""
+
+    TARGETS = np.random.default_rng(7).standard_normal((5, 3))
+
+    def _quadratic(self, seen=None):
+        def loss_and_grad(p, idx):
+            if seen is not None:
+                seen.append(np.array(idx))
+            diff = p - self.TARGETS[idx]
+            return float(np.mean(diff * diff)), 2.0 * diff.mean(0) / 3
+        return loss_and_grad
+
+    def test_converges_to_the_target_mean(self):
+        sched = TrainSchedule(epochs=300, batch_size=2, lr0=0.05,
+                              lr_milestones=((150, 10.0),))
+        p, history = optim.train(np.zeros(3), 5, sched, 1, self._quadratic(),
+                                 lambda p: [("p", p)])
+        assert np.allclose(p, self.TARGETS.mean(0), atol=0.05)
+        assert history.shape == (300,) and history[-1] < history[0]
+
+    def test_batches_follow_seeded_permutations_and_weight_by_size(self):
+        seen = []
+        sched = TrainSchedule(epochs=2, batch_size=2, lr0=1e-3)
+
+        def size_loss(p, idx):  # a batch's loss is its size
+            seen.append(np.array(idx))
+            return float(len(idx)), np.zeros_like(p)
+
+        _, history = optim.train(np.zeros(3), 5, sched, 4, size_loss,
+                                 lambda p: [("p", p)])
+        assert [len(idx) for idx in seen] == [2, 2, 1, 2, 2, 1]
+        orders = list(Rng(4).permutations(5, 2))
+        assert np.array_equal(np.concatenate(seen[:3]), orders[0])
+        assert np.array_equal(np.concatenate(seen[3:]), orders[1])
+        # (2*2 + 2*2 + 1*1) / 5: the last partial batch counts once per item
+        assert np.array_equal(history, [1.8, 1.8])
+
+    def test_zero_epochs_return_a_copy_without_a_step(self):
+        seen = []
+        params = np.arange(3.0)
+        sched = TrainSchedule(epochs=0, batch_size=2, lr0=0.1)
+        p, history = optim.train(params, 5, sched, 1, self._quadratic(seen),
+                                 lambda p: [("p", p)])
+        assert seen == [] and history.shape == (0,)
+        assert np.array_equal(p, params)
+        assert not np.shares_memory(p, params)
+
+    def test_input_params_never_written(self):
+        params = np.arange(3.0)
+        params.setflags(write=False)  # a write would raise
+        sched = TrainSchedule(epochs=3, batch_size=2, lr0=0.1, wd0=0.01)
+        p, _ = optim.train(params, 5, sched, 1, self._quadratic(),
+                           lambda p: [("p", p)])
+        assert np.array_equal(params, np.arange(3.0))
+        assert not np.shares_memory(p, params)
+        assert not np.array_equal(p, params)
+
+    @pytest.mark.parametrize("bad, name", [((3,), "b"), ((1, 3), "a")])
+    def test_first_non_finite_part_named_at_once(self, bad, name):
+        calls = []
+
+        def grad_with_inf(p, idx):  # an infinite gradient makes Adam's step NaN
+            calls.append(idx)
+            g = np.zeros_like(p)
+            g[list(bad)] = np.inf
+            return 0.0, g
+
+        sched = TrainSchedule(epochs=2, batch_size=2, lr0=0.1)
+        with pytest.raises(ValueError,  # and no RuntimeWarning on the way
+                           match=f"^{name} contains non-finite entries$"):
+            optim.train(np.zeros(4), 5, sched, 1, grad_with_inf,
+                        lambda p: [("a", p[:2]), ("b", p[2:])])
+        assert len(calls) == 1
