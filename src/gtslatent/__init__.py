@@ -19,7 +19,8 @@ Modules:
 * ``optim``    - Adam, milestone schedules and the one mini-batch
   training loop
 * ``lstm``     - FC-LSTM cell, warm-up/free-run rollout, BPTT
-* ``data``     - dataset generators, STL-10/CSV ingestion, GTS1 tensors
+* ``data``     - dataset generators, STL-10/CSV ingestion, float64
+  ``.npy`` array files
 * ``harness``  - experiment driver, reports, plots
 * ``cli``      - ``gtslatent`` command-line interface
 """

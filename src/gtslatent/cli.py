@@ -5,13 +5,16 @@ Three subcommands, each driven by a JSON config file:
 * ``reconstruct`` - compare codec round-trip MSE across latent dims;
 * ``predict``     - train sequence predictors on the encoded data and
                     score decoded free-run prediction MSE;
-* ``gen-data``    - generate a dataset and write it to disk.
+* ``gen-data``    - generate a dataset and write it to disk as
+                    ``dataset.npy``.
 
 ``--seed`` overrides the config seed, ``--out`` picks the output
-directory, which is created before any work (and removed again if the
-run fails while it is empty).  The config is read as UTF-8 (RFC 8259).
-Exit code is 0 on success, 1 with a diagnostic on stderr for any
-configuration or I/O error.
+directory, which is created before any work (and removed again if a
+configuration or I/O error stops the run while it is empty).  The
+config is read as UTF-8 (RFC 8259).  Exit code is 0 on success, 1 with
+a diagnostic on stderr for any configuration or I/O error (a
+``ValueError`` or ``OSError``); any other exception is a bug and
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -81,11 +84,11 @@ def main(argv=None) -> int:
 
         if args.command == "gen-data":
             dataset = harness.build_dataset(config)
-            path = os.path.join(out_dir, "dataset.gts")
+            path = os.path.join(out_dir, "dataset.npy")
             data.save_dataset(path, dataset)
             print(f"wrote {dataset.count} sequences of "
                   f"{dataset.num_frames}x{dataset.frame_dim} frames")
-            print(f"  tensor: {path}")
+            print(f"  dataset: {path}")
             return 0
 
         if args.command == "reconstruct":
@@ -105,7 +108,7 @@ def main(argv=None) -> int:
         for label, path in paths.items():
             print(f"  {label}: {path}")
         return 0
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError) as exc:  # a JSONDecodeError is a ValueError
         if made_dir is not None:
             with contextlib.suppress(OSError):  # not empty: keep it
                 os.rmdir(made_dir)

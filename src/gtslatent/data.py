@@ -1,4 +1,4 @@
-"""Datasets: image ingestion, sequence generators, CSV series, tensors.
+"""Datasets: image ingestion, sequence generators, CSV series, array files.
 
 The moving-crop generator reproduces the windowed-random-walk video
 construction at any scale: a square window is cropped from a source
@@ -10,9 +10,10 @@ constant velocity), and :func:`generate_textured_images` synthesises
 smooth band-limited textures so the pipeline runs without any external
 image files.
 
-Tensors are persisted in the GTS1 container: the magic bytes ``GTS1``,
-a little-endian uint32 rank, the dims as uint32, then the values as
-little-endian float32 in row-major order.
+Every array the package writes (dataset files, prediction dumps, codec
+cache entries) is a float64 ``.npy`` file, numpy's own format (NEP 1),
+written atomically by :func:`save_array` and read back bit for bit by
+:func:`load_array`.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import array
 import csv
 import math
 import os
-import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -336,63 +337,62 @@ def sequences_from_series(series, frames_per_sequence: int) -> SequenceDataset:
     return SequenceDataset(used.reshape(count, frames_per_sequence, s.shape[1]))
 
 
-def save_tensor(path, dims, values) -> None:
-    """Write a tensor in the GTS1 container (float32, row-major)."""
-    dims = tuple(int(d) for d in dims)
-    if len(dims) == 0:
-        raise ValueError("dims must be non-empty")
-    if any(d < 1 for d in dims):
-        raise ValueError("dims must be positive")
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size != math.prod(dims):
-        raise ValueError(
-            f"value count {arr.size} does not match dims {dims}"
-        )
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sI", b"GTS1", len(dims)))
-        fh.write(struct.pack(f"<{len(dims)}I", *dims))
-        # the float32 array's own buffer: tobytes() would copy it again
-        fh.write(np.ascontiguousarray(arr.reshape(dims), dtype="<f4"))
+def save_array(path, values: np.ndarray) -> None:
+    """Write ``values`` as a ``.npy`` file (NEP 1), atomically.
+
+    The bytes go to a temp file beside ``path`` that is then renamed
+    over it, so an interrupted write never leaves a partial file under
+    ``path``.  A C-contiguous array is written from its own buffer.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:  # a path would gain a .npy suffix
+            np.save(fh, values, allow_pickle=False)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def load_tensor(path) -> tuple[tuple[int, ...], np.ndarray]:
-    """Read a GTS1 tensor; returns (dims, float64 array shaped dims)."""
+def load_array(path) -> np.ndarray:
+    """The float64 array of a ``.npy`` file, read strictly.
+
+    This is the ``.npy`` reader behind ``np.load``, which would also
+    open a zip archive or unpickle objects; here those fail.  A file
+    that is empty, truncated, not ``.npy`` (the magic string is not
+    correct), followed by trailing bytes, or holds another dtype raises
+    ``ValueError`` naming ``path``.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 8:
-        raise ValueError(f"{path}: truncated GTS1 header")
-    magic, rank = struct.unpack_from("<4sI", raw, 0)
-    if magic != b"GTS1":
-        raise ValueError(f"{path}: bad magic {magic!r}, expected b'GTS1'")
-    if rank == 0:
-        raise ValueError(f"{path}: rank 0 tensor is not allowed")
-    if len(raw) < 8 + 4 * rank:
-        raise ValueError(f"{path}: truncated GTS1 dims")
-    dims = struct.unpack_from(f"<{rank}I", raw, 8)
-    need = 8 + 4 * rank + 4 * math.prod(dims)
-    if len(raw) < need:
-        raise ValueError(f"{path}: truncated GTS1 data "
-                         f"({len(raw)} bytes, expected {need})")
-    if len(raw) > need:
-        raise ValueError(f"{path}: trailing bytes after GTS1 data")
-    values = np.frombuffer(raw, dtype="<f4", offset=8 + 4 * rank)
-    return dims, values.astype(np.float64).reshape(dims)
+        try:
+            values = np.lib.format.read_array(fh, allow_pickle=False)
+            if fh.read(1):
+                raise ValueError("trailing bytes after the array data")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    if values.dtype != np.float64:
+        raise ValueError(f"{path}: {values.dtype} array of shape "
+                         f"{values.shape}, expected float64")
+    return values
 
 
 def save_dataset(path, dataset: SequenceDataset) -> None:
-    """One GTS1 tensor: (count, T, h, w) for grid frames, else (count, T, n)."""
+    """One array: (count, T, h, w) for grid frames, else (count, T, n)."""
     s = dataset.sequences
-    save_tensor(path, s.shape[:2] + (dataset.frame_shape or s.shape[2:]), s)
+    shape = s.shape[:2] + (dataset.frame_shape or s.shape[2:])
+    save_array(path, s.reshape(shape))
 
 
 def load_dataset(path) -> SequenceDataset:
     """Read :func:`save_dataset`'s file; rank 4 gives the frame shape."""
-    dims, values = load_tensor(path)
-    if len(dims) not in (3, 4):
+    values = load_array(path)
+    if values.ndim not in (3, 4):
         raise ValueError(f"{path}: a dataset tensor has rank 3, or 4 for "
-                         f"grid frames; got dims {dims}")
-    return SequenceDataset(values.reshape(*dims[:2], math.prod(dims[2:])),
-                           frame_shape=dims[2:] if len(dims) == 4 else None)
+                         f"grid frames; got shape {values.shape}")
+    shape = values.shape
+    return SequenceDataset(values.reshape(*shape[:2], math.prod(shape[2:])),
+                           frame_shape=shape[2:] if values.ndim == 4 else None)
 
 
 def split(dataset: SequenceDataset, train_fraction: float,

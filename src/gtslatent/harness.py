@@ -315,43 +315,27 @@ def _cache_files(config, train_frames: np.ndarray) -> dict:
 def _read_cache(path: Path, shape: tuple) -> np.ndarray | None:
     """A cached AE matrix, or None on a miss.
 
-    An entry that cannot be read (e.g. a file truncated by an
-    interrupted run) or is not a finite float64 array of ``shape``
+    An entry that :func:`data.load_array` rejects (e.g. a file truncated
+    by an interrupted run) or that is not a finite array of ``shape``
     counts as a miss: it is reported on stderr and the caller
     recomputes and overwrites it.
     """
     if not path.exists():
         return None
     try:
-        # the .npy reader behind np.load, which would also open a zip
-        # archive, and would raise EOFError on an empty file
-        with open(path, "rb") as fh:
-            values = np.lib.format.read_array(fh, allow_pickle=False)
+        values = data.load_array(path)
     except (OSError, ValueError) as exc:
-        problem = str(exc)
+        problem = str(exc)  # a ValueError names the path
     else:
-        if values.shape != shape or values.dtype != np.float64:
-            problem = (f"{values.dtype} array of shape {values.shape}, "
-                       f"expected float64 of {shape}")
+        if values.shape != shape:
+            problem = f"{path}: shape {values.shape}, expected {shape}"
         elif not np.isfinite(values).all():
-            problem = "non-finite entries"
+            problem = f"{path}: non-finite entries"
         else:
             return values
-    print(f"warning: ignoring codec cache entry {path}: {problem}; "
-          f"recomputing", file=sys.stderr)
+    print(f"warning: ignoring codec cache entry {problem}; recomputing",
+          file=sys.stderr)
     return None
-
-
-def _write_cache(path: Path, values: np.ndarray) -> None:
-    """Write a cache entry atomically: a temp file, then a rename."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:  # a path would gain a .npy suffix
-            np.save(fh, values, allow_pickle=False)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _eig_diagnostics(eigenvalues: np.ndarray, m: int) -> tuple:
@@ -687,7 +671,7 @@ def _run_cells(inputs: _CellInputs, cells: list) -> list:
         report_cells = []
         for (method, m), (cell, trained) in zip(cells, results):
             if trained is not None:  # only this process writes the cache
-                _write_cache(inputs.cache_files[m], trained)
+                data.save_array(inputs.cache_files[m], trained)
             report_cells.append(cell)
         return report_cells
     finally:
@@ -721,9 +705,8 @@ def emit_report(report: Report, out_dir) -> dict:
 
     for cell in report.cells:
         if cell.sample_prediction is not None:
-            dump = out / f"pred_{cell.method}_m{cell.m}.gts"
-            data.save_tensor(dump, cell.sample_prediction.shape,
-                             cell.sample_prediction)
+            dump = out / f"pred_{cell.method}_m{cell.m}.npy"
+            data.save_array(dump, cell.sample_prediction)
             paths[f"pred_{cell.method}_m{cell.m}"] = str(dump)
     return paths
 

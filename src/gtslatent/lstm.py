@@ -281,20 +281,19 @@ def evaluate_prediction(cell: LstmCell, latent_sequences, raw_sequences,
                         warmup: int, decode_fn) -> tuple[float, np.ndarray]:
     """Pixel-space free-run prediction MSE over a test set.
 
-    Rolls the cell over the latent test sequences, decodes the
-    predictions of the frames after the warm-up phase with
+    Rolls the cell over the latent test sequences with :func:`rollout`,
+    decodes the predictions of the frames after the warm-up phase with
     ``decode_fn`` (mapping a (k, m) stack to (k, n)), and returns the
     mean over sequences of the MSE against the corresponding raw
     frames, with the (S, T-warmup, n) decoded predictions it scored.
     Pass an identity ``decode_fn`` for uncompressed inputs.
     """
-    z = _sequences(latent_sequences, cell.m, warmup)
+    preds = rollout(cell, latent_sequences, warmup)
     raw = np.asarray(raw_sequences, dtype=np.float64)
     if raw.ndim != 3:
         raise ValueError("sequence stacks must be 3-D (S, T, dim)")
-    if z.shape[0] != raw.shape[0] or z.shape[1] != raw.shape[1]:
+    if raw.shape[:2] != (preds.shape[0], preds.shape[1] + 1):
         raise ValueError("latent and raw sequence stacks must align")
-    preds, _ = _forward(cell.flat, z, warmup, keep_cache=False)
     free = preds[:, warmup - 1:, :]          # predictions of frames W+1..T
     num_seq, num_eval, _ = free.shape
     decoded = decode_fn(free.reshape(num_seq * num_eval, -1))

@@ -403,72 +403,84 @@ class TestCsv:
             data.sequences_from_series(series[:3], 4)
 
 
-class TestGts1:
-    def test_round_trip_is_float32_quantisation(self, tmp_path):
-        path = tmp_path / "t.gts"
+def _npy_bytes(values, allow_pickle=False):
+    buf = io.BytesIO()
+    np.save(buf, values, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def _zip_bytes():
+    buf = io.BytesIO()
+    np.savez(buf, a=np.zeros((2, 3, 4)))
+    return buf.getvalue()
+
+
+_WHOLE = _npy_bytes(np.zeros((2, 3, 4)))
+
+
+class TestArrayFiles:
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        path = tmp_path / "t.npy"
         values = Rng(19).uniform_matrix(4, 6, -3.0, 3.0)
-        data.save_tensor(path, (4, 6), values)
-        dims, loaded = data.load_tensor(path)
-        assert dims == (4, 6)
-        assert np.array_equal(loaded,
-                              values.astype(np.float32).astype(np.float64))
+        values[0, :3] = (-0.0, 5e-324, np.finfo(np.float64).max)
+        data.save_array(path, values)
+        loaded = data.load_array(path)
+        assert loaded.dtype == np.float64 and loaded.shape == (4, 6)
+        assert loaded.tobytes() == values.tobytes()
 
-    def test_file_length_formula(self, tmp_path):
-        path = tmp_path / "t.gts"
-        data.save_tensor(path, (2, 3, 4), np.zeros(24))
-        assert path.stat().st_size == 4 + 4 + 4 * 3 + 4 * 24
-
-    def test_empty_dims_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            data.save_tensor(tmp_path / "t.gts", (), np.zeros(1))
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "t.gts"
-        path.write_bytes(b"NOPE" + struct.pack("<II", 1, 1) + b"\x00" * 4)
-        with pytest.raises(ValueError, match="magic"):
-            data.load_tensor(path)
-
-    def test_truncated_data(self, tmp_path):
-        path = tmp_path / "t.gts"
-        data.save_tensor(path, (4,), np.zeros(4))
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-4])
-        with pytest.raises(ValueError, match="truncated"):
-            data.load_tensor(path)
-
-    def test_trailing_bytes(self, tmp_path):
-        path = tmp_path / "t.gts"
-        data.save_tensor(path, (4,), np.zeros(4))
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(ValueError):
-            data.load_tensor(path)
-
-    def test_bytes_equal_tobytes_of_float32_copy(self, tmp_path):
-        # the array's buffer is written as it is, not through tobytes()
-        path = tmp_path / "t.gts"
+    def test_file_is_numpys_own_npy(self, tmp_path):
+        path = tmp_path / "t.npy"
         values = Rng(21).uniform_matrix(6, 20, -3.0, 3.0).T  # not contiguous
-        data.save_tensor(path, (4, 5, 6), values)
-        expected = (struct.pack("<4sII", b"GTS1", 3, 4)
-                    + struct.pack("<2I", 5, 6)
-                    + np.ascontiguousarray(values.reshape(4, 5, 6),
-                                           dtype="<f4").tobytes())
-        assert path.read_bytes() == expected
+        data.save_array(path, values)
+        assert path.read_bytes() == _npy_bytes(values)
+        assert np.load(path).tobytes() == values.tobytes()
 
-    def test_value_count_mismatch(self, tmp_path):
-        with pytest.raises(ValueError):
-            data.save_tensor(tmp_path / "t.gts", (2, 2), np.zeros(5))
+    def test_write_replaces_atomically(self, tmp_path):
+        path = tmp_path / "t.npy"
+        data.save_array(path, np.zeros(3))
+        data.save_array(path, np.ones(3))
+        assert data.load_array(path).tolist() == [1.0, 1.0, 1.0]
+        # a write that fails leaves the old file and no temp file
+        with pytest.raises(ValueError, match="allow_pickle"):
+            data.save_array(path, np.array([{}], dtype=object))
+        assert data.load_array(path).tolist() == [1.0, 1.0, 1.0]
+        assert [p.name for p in tmp_path.iterdir()] == ["t.npy"]
+
+    @pytest.mark.parametrize("raw, problem", [
+        (_WHOLE[:-8], "Failed to read all data"),
+        (_WHOLE[:20], "EOF: reading array header"),
+        (b"", "EOF: reading magic string"),
+        (_WHOLE + b"\x00", "trailing bytes"),
+        (_zip_bytes(), "the magic string is not correct"),
+        (_npy_bytes(np.array([{}], dtype=object), allow_pickle=True),
+         "Object arrays cannot be loaded"),
+        # an old dataset file, in the float32 container this format replaced
+        (struct.pack("<4s4I", b"GTS1", 3, 1, 2, 2) + bytes(16),
+         "the magic string is not correct"),
+        (_npy_bytes(np.zeros((2, 3, 4), dtype=np.float32)), "float32 array"),
+        (_npy_bytes(np.zeros((2, 3, 4), dtype=">f8")), ">f8 array"),
+        (_npy_bytes(np.zeros((2, 3, 4), dtype=np.int64)), "int64 array"),
+    ], ids=["truncated", "truncated-header", "empty", "trailing", "zip",
+            "pickle", "gts1", "float32", "big-endian", "int64"])
+    def test_malformed_file_rejected_naming_path(self, tmp_path, raw,
+                                                 problem):
+        path = tmp_path / "dataset.npy"
+        path.write_bytes(raw)
+        for read in (data.load_array, data.load_dataset):
+            with pytest.raises(ValueError) as excinfo:
+                read(path)
+            assert str(excinfo.value).startswith(f"{path}: ")
+            assert problem in str(excinfo.value)
 
     def test_series_dataset_is_rank_3_with_no_frame_shape(self, tmp_path):
-        path = tmp_path / "series.gts"
+        path = tmp_path / "series.npy"
         series = Rng(23).uniform_matrix(12, 5, -3.0, 3.0)
         dataset = data.sequences_from_series(series, 4)
         data.save_dataset(path, dataset)
-        assert data.load_tensor(path)[0] == (3, 4, 5)
+        assert data.load_array(path).shape == (3, 4, 5)
         loaded = data.load_dataset(path)
         assert loaded.frame_shape is None
-        assert np.array_equal(
-            loaded.sequences,
-            dataset.sequences.astype(np.float32).astype(np.float64))
+        assert loaded.sequences.tobytes() == dataset.sequences.tobytes()
 
 
 class TestSplit:

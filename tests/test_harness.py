@@ -4,7 +4,6 @@ import hashlib
 import io
 import itertools
 import json
-import math
 import multiprocessing
 import os
 import re
@@ -177,7 +176,7 @@ class TestConfigSchema:
         (_tiny_config(ae_schedule=_schedule(wd_milestone=[[1, 10]])),
          "ae_schedule", "wd_milestone"),
         (_tiny_config(dataset=_sprite_block(count=6)), "dataset", "count"),
-        (_tiny_config(dataset={"type": "file", "path": "x.gts", "frames": 6}),
+        (_tiny_config(dataset={"type": "file", "path": "x.npy", "frames": 6}),
          "dataset", "frames"),
         (_tiny_config(dataset={"type": "csv", "path": "x.csv",
                                "sequences": 6}), "dataset", "sequences"),
@@ -434,9 +433,12 @@ class TestPredictionExperiment:
                            dump_predictions=True, methods=["gft-grid", "raw"])
         report = harness.run_prediction_experiment(harness.config_from_dict(cfg))
         paths = harness.emit_report(report, tmp_path)
-        assert (tmp_path / "pred_gft-grid_m4.gts").exists()
-        dims, values = data.load_tensor(tmp_path / "pred_gft-grid_m4.gts")
-        assert dims == (4, 36)  # T - warmup free-run frames, n pixels
+        assert paths["pred_gft-grid_m4"] == str(tmp_path / "pred_gft-grid_m4.npy")
+        values = data.load_array(tmp_path / "pred_gft-grid_m4.npy")
+        assert values.shape == (4, 36)  # T - warmup free-run frames, n pixels
+        # the dump holds the prediction bit for bit
+        cell = report.cells[0]
+        assert values.tobytes() == cell.sample_prediction.tobytes()
 
     def test_latents_always_scaled_into_lstm_range(self, monkeypatch):
         # the LSTM's output o*tanh(c) lies in (-1, 1), so with no
@@ -578,7 +580,7 @@ class TestCodecCache:
     def test_regenerated_file_gets_a_fresh_codec(self, tmp_path):
         # a file dataset's config holds only its path: rewriting the
         # file must not serve the AE trained on its old frames
-        path = tmp_path / "frames.gts"
+        path = tmp_path / "frames.npy"
         raw = _tiny_config(dataset={"type": "file", "path": str(path)},
                            methods=["ae"], latent_dims=[4],
                            codec_cache_dir=str(tmp_path / "cache"))
@@ -637,7 +639,7 @@ class TestCodecCache:
         assert err.startswith(f"warning: ignoring codec cache entry {path}: ")
         assert problem in err and err.count("\n") == 1
         good = Rng(3).uniform_matrix(36, 4, -1.0, 1.0)
-        harness._write_cache(path, good)
+        data.save_array(path, good)
         assert harness._read_cache(path, (36, 4)).tobytes() == good.tobytes()
 
 
@@ -736,7 +738,7 @@ class TestCellWorkers:
         assert runs[2][0][2] == runs[2][1][2] == []
         for one, two in zip(runs[1], runs[2]):
             assert one[:2] == two[:2]
-            assert "pred_ae_m9.gts" in one[1]
+            assert "pred_ae_m9.npy" in one[1]
         assert caches[1] == caches[2]
         cold, warm = runs[1][0][0], runs[1][1][0]
         ae_cells = [i for i, c in enumerate(cold["cells"]) if c["method"] == "ae"]
@@ -950,19 +952,18 @@ class TestDatasetFiles:
     def test_save_and_load_dataset(self, tmp_path):
         config = harness.config_from_dict(_tiny_config())
         dataset = harness.build_dataset(config)
-        data.save_dataset(tmp_path / "dataset.gts", dataset)
-        assert data.load_tensor(tmp_path / "dataset.gts")[0] == (10, 6, 6, 6)
-        loaded = data.load_dataset(tmp_path / "dataset.gts")
+        data.save_dataset(tmp_path / "dataset.npy", dataset)
+        assert data.load_array(tmp_path / "dataset.npy").shape == (10, 6, 6, 6)
+        loaded = data.load_dataset(tmp_path / "dataset.npy")
         assert loaded.frame_shape == dataset.frame_shape == (6, 6)
-        expect = dataset.sequences.astype(np.float32).astype(np.float64)
-        assert np.array_equal(loaded.sequences, expect)
+        assert loaded.sequences.tobytes() == dataset.sequences.tobytes()
 
     def test_file_dataset_feeds_experiment(self, tmp_path):
         config = harness.config_from_dict(_tiny_config())
-        data.save_dataset(tmp_path / "dataset.gts",
+        data.save_dataset(tmp_path / "dataset.npy",
                           harness.build_dataset(config))
         cfg = _tiny_config(dataset={"type": "file",
-                                    "path": str(tmp_path / "dataset.gts")},
+                                    "path": str(tmp_path / "dataset.npy")},
                            methods=["gft-grid"], latent_dims=[4])
         report = harness.run_reconstruction_experiment(
             harness.config_from_dict(cfg))
@@ -980,9 +981,41 @@ class TestCli:
         code = cli.main(["gen-data", "--config", cfg_path,
                          "--out", str(tmp_path / "out")])
         assert code == 0
-        assert os.listdir(tmp_path / "out") == ["dataset.gts"]
+        assert os.listdir(tmp_path / "out") == ["dataset.npy"]
         assert capsys.readouterr().out.endswith(
-            f"  tensor: {tmp_path / 'out' / 'dataset.gts'}\n")
+            f"  dataset: {tmp_path / 'out' / 'dataset.npy'}\n")
+
+    @pytest.mark.parametrize("command", ["reconstruct", "predict"])
+    def test_file_dataset_reports_what_the_direct_run_does(self, tmp_path,
+                                                           capsys, command):
+        # gen-data's file holds the frames bit for bit, so a run on it
+        # reports exactly what a run that generates them does
+        direct = _tiny_config(methods=["gft-grid", "gft-geo", "ae", "raw"],
+                              latent_dims=[4, 9])
+        path = tmp_path / "data" / "dataset.npy"
+        from_file = dict(direct, dataset={"type": "file", "path": str(path)})
+
+        def run(subcommand, cfg, out):
+            return cli.main([subcommand, "--config",
+                             self._write_config(tmp_path, cfg),
+                             "--out", str(tmp_path / out)])
+        assert run("gen-data", direct, "data") == 0
+        assert run(command, direct, "direct") == 0
+        assert run(command, from_file, "file") == 0
+        assert ((tmp_path / "direct" / "report.csv").read_bytes()
+                == (tmp_path / "file" / "report.csv").read_bytes())
+
+    def test_key_error_propagates(self, tmp_path, capsys, monkeypatch):
+        # no config or I/O error raises KeyError, so one is a bug and
+        # shows its traceback instead of a one-line diagnostic
+        def broken(config):
+            raise KeyError("x")
+        monkeypatch.setattr(harness, "build_dataset", broken)
+        cfg_path = self._write_config(tmp_path, _tiny_config())
+        with pytest.raises(KeyError, match="x"):
+            cli.main(["gen-data", "--config", cfg_path,
+                      "--out", str(tmp_path / "out")])
+        assert capsys.readouterr().err == ""
 
     def test_reconstruct_writes_report_and_plot(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path, _tiny_config(
@@ -1183,7 +1216,7 @@ class TestCliRejectsBeforeAnyWork:
         (_tiny_config(lstm_schedule=_schedule(lr_milestone=[[1, 10]])),
          "lr_milestone"),
         (_tiny_config(dataset=_crop_block(sequencs=9)), "sequencs"),
-        (_tiny_config(dataset={"type": "file", "path": "dataset.gts",
+        (_tiny_config(dataset={"type": "file", "path": "dataset.npy",
                                "meta": "dataset.json"}), "meta"),
         # a config written for gradient clipping fails instead of
         # silently training without it
@@ -1200,8 +1233,8 @@ class TestCliRejectsBeforeAnyWork:
 
     @pytest.mark.parametrize("dims", [(4, 6), (1, 2, 3, 2, 2)])
     def test_file_dataset_of_other_rank(self, tmp_path, capsys, dims):
-        path = tmp_path / "data.gts"
-        data.save_tensor(path, dims, np.zeros(math.prod(dims)))
+        path = tmp_path / "data.npy"
+        np.save(path, np.zeros(dims))
         err = self._main(tmp_path, capsys, _tiny_config(dataset={
             "type": "file", "path": str(path)}))
         assert err.startswith(f"error: {path}: a dataset tensor has rank 3")

@@ -4,9 +4,9 @@ The main process builds every graph, Laplacian and eigenbasis, so these
 bound what it allocates at the full-basis shape.  Each bound is the
 peak measured at n=576 (a 24x24 grid, 100 frames) plus about 0.1 n^2,
 rounded down to a multiple of 0.05.  What a peak holds is noted beside
-each bound; the figures at n=2025 are in CHANGES.md.  The STL-10
-reader, which runs in the same process, is bounded in multiples of its
-result.
+each bound; the figures at n=2025 are in CHANGES.md.  The STL-10 and
+dataset-file readers, which run in the same process, are bounded in
+multiples of their result.
 """
 
 import tracemalloc
@@ -112,3 +112,20 @@ def test_load_stl10(tmp_path):
         tracemalloc.stop()
     assert images.shape == (count, 96, 96)
     assert peak <= 1.5 * images.nbytes
+
+
+def test_load_dataset(tmp_path):
+    # measured 1.13 results: the result and the dataset's finiteness
+    # mask (was 1.50 with the float32 file's bytes alive beside it)
+    path = tmp_path / "dataset.npy"
+    frames = Rng(7).uniform_matrix(20 * 10, N, -1.0, 1.0)
+    dataset = data.SequenceDataset(frames.reshape(20, 10, N), (SIDE, SIDE))
+    data.save_dataset(path, dataset)
+    tracemalloc.start()
+    try:
+        loaded = data.load_dataset(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.sequences.tobytes() == dataset.sequences.tobytes()
+    assert peak <= 1.2 * loaded.sequences.nbytes
