@@ -362,11 +362,25 @@ def load_array(path) -> np.ndarray:
     open a zip archive or unpickle objects; here those fail.  A file
     that is empty, truncated, not ``.npy`` (the magic string is not
     correct), followed by trailing bytes, or holds another dtype raises
-    ``ValueError`` naming ``path``.
+    ``ValueError`` naming ``path``.  ``read_array`` allocates the array
+    the header claims before reading it, so a claim larger than the
+    rest of the file is rejected first.
     """
+    fmt = np.lib.format
     with open(path, "rb") as fh:
         try:
-            values = np.lib.format.read_array(fh, allow_pickle=False)
+            read_header = (fmt.read_array_header_1_0
+                           if fmt.read_magic(fh) == (1, 0)
+                           else fmt.read_array_header_2_0)
+            shape, _, dtype = read_header(fh)
+            claimed = math.prod(shape) * dtype.itemsize
+            remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+            if claimed > remaining:
+                raise ValueError(f"Failed to read all data: the header "
+                                 f"claims {claimed} bytes of array data, "
+                                 f"but {remaining} follow it")
+            fh.seek(0)
+            values = fmt.read_array(fh, allow_pickle=False)
             if fh.read(1):
                 raise ValueError("trailing bytes after the array data")
         except ValueError as exc:

@@ -22,15 +22,16 @@ recomputed.
 
 Where the work runs: this process builds and splits the dataset,
 computes each spectral method's full basis once, and does all
-codec-cache reads and writes.  The (method, m) cells - fit or truncate
-a codec, score it and, for prediction, train and score an FC-LSTM -
-then run in ``fork``-ed worker processes, one per CPU this process may
-use (``os.sched_getaffinity``), capped at the number of cells.  They
-are submitted costliest first: largest m first and, at equal m, the AE
+codec-cache reads.  The (method, m) cells - fit or truncate a codec,
+score it and, for prediction, train and score an FC-LSTM - then run in
+``fork``-ed worker processes, one per CPU this process may use
+(``os.sched_getaffinity``), capped at the number of cells.  They are
+submitted costliest first: largest m first and, at equal m, the AE
 cells that must train their codec first.  With one CPU (e.g. under
 ``taskset -c 0``) or without ``fork`` they run one after another in
 this process.  Each cell draws only from its own seeded streams, so
-both paths give bit-identical reports.
+both paths give bit-identical reports.  A cell writes the AE it trains
+to the cache as soon as training ends, so a failing run keeps it.
 """
 
 from __future__ import annotations
@@ -387,32 +388,34 @@ class _CellInputs:
     cache_files: dict  # m -> the AE's codec-cache entry; empty without one
 
 
-def _fit_codec(inputs: _CellInputs, cell: ReportCell) -> tuple:
-    """(codec, matrix to cache) of one cell.
+def _fit_codec(inputs: _CellInputs,
+               cell: ReportCell) -> spectral.LinearCodec | None:
+    """The codec of one cell; None for ``raw``, whose latents are the frames.
 
-    The codec is None for ``raw``, whose latents are the frames
-    themselves.  The matrix is the freshly trained AE when the config
-    has a codec cache, else None.  The AE loss history or the eig
-    diagnostics of the cut go straight into ``cell``.
+    An AE trained here goes to its codec-cache entry, if the config has
+    one, as soon as training ends, so no later failure discards it.  Its
+    loss history or the cut's eig diagnostics go straight into ``cell``.
     """
     config = inputs.config
     method, m = cell.method, cell.m
     if method == "raw":
-        return None, None
+        return None
     if method == "ae":
         a = inputs.ae_cached.get(m)
         if a is not None:
-            return spectral.LinearCodec(a), None
+            return spectral.LinearCodec(a)
         n = inputs.train_set.frame_dim
         codec0 = ae.init_codec(n, m, _stream(config.seed, _STREAM_AE_INIT, m))
         codec, history = ae.train(codec0, inputs.train_set.frames(),
                                   config.ae_schedule,
                                   _stream(config.seed, _STREAM_AE_TRAIN, m))
+        if m in inputs.cache_files:
+            data.save_array(inputs.cache_files[m], codec.a)
         cell.ae_loss_history = [float(v) for v in history]
-        return codec, None if config.codec_cache_dir is None else codec.a
+        return codec
     full = inputs.bases[method]
     cell.eig_gap, cell.eig_multiplicity = _eig_diagnostics(full.eigenvalues, m)
-    return spectral.truncate(full, m), None
+    return spectral.truncate(full, m)
 
 
 def _validate_compatibility(config: ExperimentConfig,
@@ -540,8 +543,8 @@ def _run_experiment(config: ExperimentConfig, predict: bool) -> Report:
                   time.perf_counter() - start, cells)
 
 
-def _run_cell(inputs: _CellInputs, method: str, m: int) -> tuple:
-    """Fit and score one (method, m) cell: (ReportCell, matrix to cache).
+def _run_cell(inputs: _CellInputs, method: str, m: int) -> ReportCell:
+    """Fit and score one (method, m) cell.
 
     The codec and its held-out round-trip MSE, then, for prediction, an
     FC-LSTM trained on the codec's latents.  Every draw comes from the
@@ -549,23 +552,23 @@ def _run_cell(inputs: _CellInputs, method: str, m: int) -> tuple:
     or in which order the cells run.
     """
     cell = ReportCell(method=method, m=m, recon_mse=0.0)  # raw is exact
-    codec, trained = _fit_codec(inputs, cell)
+    codec = _fit_codec(inputs, cell)
     if codec is not None:
         cell.recon_mse = spectral.reconstruction_mse(codec,
                                                      inputs.test_set.frames())
     if inputs.predict:
-        (cell.pred_mse, cell.lstm_loss_history,
-         cell.sample_prediction) = _predict(inputs, codec, method, m)
-    return cell, trained
+        _predict(inputs, codec, cell)
+    return cell
 
 
 def _predict(inputs: _CellInputs, codec: spectral.LinearCodec | None,
-             method: str, m: int) -> tuple:
-    """(pred MSE, LSTM loss history, decoded sample or None) of one cell.
+             cell: ReportCell) -> None:
+    """Set ``cell``'s pred MSE, LSTM loss history and decoded sample.
 
     A ``None`` codec (``raw``) feeds the frames to the LSTM as they are.
     """
     config = inputs.config
+    method, m = cell.method, cell.m
     num_train, t_len, _ = inputs.train_set.sequences.shape
     z_train_flat = inputs.train_set.frames()
     z_test_flat = inputs.test_set.frames()
@@ -589,12 +592,13 @@ def _predict(inputs: _CellInputs, codec: spectral.LinearCodec | None,
     trained, history = lstm.train(
         cell0, z_train, config.lstm_schedule, config.warmup,
         _stream(config.seed, _STREAM_LSTM_TRAIN, method_ix, m))
-    pred_mse, decoded = lstm.evaluate_prediction(
+    cell.pred_mse, decoded = lstm.evaluate_prediction(
         trained, z_test, inputs.test_set.sequences, config.warmup, decode_fn)
-    # the first test sequence's scored predictions, not a view that
-    # would keep every decoded prediction alive
-    sample = decoded[0].copy() if config.dump_predictions else None
-    return pred_mse, [float(v) for v in history], sample
+    cell.lstm_loss_history = [float(v) for v in history]
+    if config.dump_predictions:
+        # the first test sequence's scored predictions, not a view that
+        # would keep every decoded prediction alive
+        cell.sample_prediction = decoded[0].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +613,7 @@ def _init_worker(inputs: _CellInputs) -> None:
     _worker_inputs = inputs
 
 
-def _worker_cell(method: str, m: int) -> tuple:
+def _worker_cell(method: str, m: int) -> ReportCell:
     return _run_cell(_worker_inputs, method, m)
 
 
@@ -657,23 +661,17 @@ def _run_cells(inputs: _CellInputs, cells: list) -> list:
 
     Cells run in forked workers when this process may use more than one
     CPU, else one after another here; the numbers are the same either
-    way.  The first cell in cell order that raises re-raises here, after
+    way.  Each cell caches the AE it trains (see :func:`_fit_codec`).
+    The first cell in cell order that raises re-raises here, after
     pending cells are cancelled and the workers have exited.
     """
     pool = _fork_pool(inputs, len(cells))
     try:
         if pool is None:
-            results = (_run_cell(inputs, method, m) for method, m in cells)
-        else:
-            futures = {i: pool.submit(_worker_cell, *cells[i])
-                       for i in _submission_order(inputs, cells)}
-            results = (futures[i].result() for i in range(len(cells)))
-        report_cells = []
-        for (method, m), (cell, trained) in zip(cells, results):
-            if trained is not None:  # only this process writes the cache
-                data.save_array(inputs.cache_files[m], trained)
-            report_cells.append(cell)
-        return report_cells
+            return [_run_cell(inputs, method, m) for method, m in cells]
+        futures = {i: pool.submit(_worker_cell, *cells[i])
+                   for i in _submission_order(inputs, cells)}
+        return [futures[i].result() for i in range(len(cells))]
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
@@ -691,7 +689,8 @@ def emit_report(report: Report, out_dir) -> dict:
     paths = {}
 
     json_path = out / "report.json"
-    json_path.write_text(json.dumps(report_to_dict(report), indent=2) + "\n")
+    json_path.write_text(json.dumps(report_to_dict(report), indent=2) + "\n",
+                         encoding="utf-8")
     paths["json"] = str(json_path)
 
     csv_path = out / "report.csv"
@@ -700,7 +699,7 @@ def emit_report(report: Report, out_dir) -> dict:
         pred = "" if cell.pred_mse is None else repr(float(cell.pred_mse))
         lines.append(f"{cell.method},{cell.m},"
                      f"{repr(float(cell.recon_mse))},{pred}")
-    csv_path.write_text("\n".join(lines) + "\n")
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     paths["csv"] = str(csv_path)
 
     for cell in report.cells:
@@ -790,7 +789,7 @@ def emit_plot(curves: dict, path, ylabel: str = "MSE") -> None:
         parts.append(f'<text x="{lx + 28}" y="{ly}" font-size="12">'
                      f'{_escape(str(name))}</text>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
 def plot_curves_from_report(report: Report, value: str = "recon_mse") -> dict:

@@ -415,6 +415,14 @@ def _zip_bytes():
     return buf.getvalue()
 
 
+def _npy_header(shape):
+    """A float64 ``.npy`` header that claims ``shape``, and no data."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    return buf.getvalue()
+
+
 _WHOLE = _npy_bytes(np.zeros((2, 3, 4)))
 
 
@@ -449,6 +457,10 @@ class TestArrayFiles:
     @pytest.mark.parametrize("raw, problem", [
         (_WHOLE[:-8], "Failed to read all data"),
         (_WHOLE[:20], "EOF: reading array header"),
+        # rejected from the file size, before read_array would allocate
+        # the 8 TB the header claims
+        (_npy_header((10**6, 10**6)) + bytes(64),
+         "claims 8000000000000 bytes of array data, but 64 follow"),
         (b"", "EOF: reading magic string"),
         (_WHOLE + b"\x00", "trailing bytes"),
         (_zip_bytes(), "the magic string is not correct"),
@@ -460,7 +472,8 @@ class TestArrayFiles:
         (_npy_bytes(np.zeros((2, 3, 4), dtype=np.float32)), "float32 array"),
         (_npy_bytes(np.zeros((2, 3, 4), dtype=">f8")), ">f8 array"),
         (_npy_bytes(np.zeros((2, 3, 4), dtype=np.int64)), "int64 array"),
-    ], ids=["truncated", "truncated-header", "empty", "trailing", "zip",
+    ], ids=["truncated", "truncated-header", "oversized", "empty",
+            "trailing", "zip",
             "pickle", "gts1", "float32", "big-endian", "int64"])
     def test_malformed_file_rejected_naming_path(self, tmp_path, raw,
                                                  problem):

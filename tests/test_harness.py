@@ -762,6 +762,45 @@ class TestCellWorkers:
         assert multiprocessing.active_children() == []
         assert list(cache.glob("*.tmp")) == []
 
+    def test_failing_run_keeps_the_aes_it_trained(self, tmp_path,
+                                                   monkeypatch):
+        # each LSTM diverges after its cell trained the AE; the cell has
+        # cached that AE by then, so a rerun need not train it again
+        good = _tiny_config(methods=["ae"], latent_dims=[4, 9],
+                            dump_predictions=True)
+        bad = dict(good, lstm_schedule=_schedule(lr0=1e308))
+        run = harness.run_prediction_experiment
+
+        def on(cpus, raw, cache, out):
+            if cache is not None:
+                raw = dict(raw, codec_cache_dir=str(tmp_path / cache))
+            return _run_on_cpus(monkeypatch, cpus, run,
+                                harness.config_from_dict(raw), tmp_path / out)
+
+        uncached, uncached_files, _ = on(1, good, None, "uncached")
+        on(1, good, "clean", "clean-out")
+        clean = {p.name: p.read_bytes()
+                 for p in (tmp_path / "clean").iterdir()}
+        assert len(clean) == 2
+        # in this process the cells run in cell order, so (ae, 4) fails
+        # first; two workers each train one AE before their LSTM fails
+        for cpus, kept in ((1, [4]), (2, [4, 9])):
+            cache = tmp_path / f"cache{cpus}"
+            with pytest.raises(ValueError,
+                               match="w_x contains non-finite entries"):
+                on(cpus, bad, cache.name, f"bad{cpus}")
+            assert multiprocessing.active_children() == []
+            entries = {p.name: p.read_bytes() for p in cache.iterdir()}
+            assert sorted(int(re.search(r"_m(\d+)_", name)[1])
+                          for name in entries) == kept
+            assert all(clean[name] == raw for name, raw in entries.items())
+            warm, warm_files, _ = on(cpus, good, cache.name, f"warm{cpus}")
+            assert warm_files == uncached_files  # report.csv and the dumps
+            for cell, plain in zip(warm["cells"], uncached["cells"]):
+                history = cell["ae_loss_history"]
+                assert (history is None) == (cell["m"] in kept)
+                assert cell == dict(plain, ae_loss_history=history)
+
     def test_first_failing_cell_in_cell_order_raises(self, monkeypatch):
         # largest m is submitted first, so (ae, 9) fails before (gft-grid, 4)
         real = harness._run_cell
@@ -903,6 +942,21 @@ class TestEmitPlot:
                                     f">{xml_escape(text)}<")
         assert (tmp_path / "a.svg").read_bytes() == expect.encode()
         ET.fromstring(expect)
+
+    def test_svg_is_utf8_under_an_ascii_locale(self, tmp_path):
+        # an SVG without an XML declaration is read as UTF-8, so it is
+        # written as UTF-8 whatever the locale's encoding
+        code = ("import sys\n"
+                "from gtslatent import harness\n"
+                "harness.emit_plot({'\\u00b5': [(1, 0.5), (2, 0.25)]},"
+                " sys.argv[1], ylabel='MSE \\u00d7 10')\n")
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        path = tmp_path / "plot.svg"
+        subprocess.run([sys.executable, "-c", code, str(path)], check=True,
+                       env={**os.environ, "PYTHONPATH": src, "LC_ALL": "C",
+                            "PYTHONUTF8": "0"})
+        svg = path.read_bytes().decode("utf-8")
+        assert ">\u00b5<" in svg and ">MSE \u00d7 10<" in svg
 
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
@@ -1107,6 +1161,25 @@ class TestCli:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "row 2" in err and "field larger than field limit" in err
 
+    def test_oversized_npy_header_is_a_one_line_error(self, tmp_path,
+                                                      capsys):
+        # the header claims 8 TB; the file holds 64 bytes of data
+        path = tmp_path / "dataset.npy"
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": "<f8", "fortran_order": False,
+                     "shape": (10**4, 10**4, 10**4)})
+        path.write_bytes(header.getvalue() + bytes(64))
+        cfg_path = self._write_config(tmp_path, _tiny_config(
+            dataset={"type": "file", "path": str(path)},
+            methods=["gft-grid"], latent_dims=[4]))
+        assert cli.main(["reconstruct", "--config", cfg_path,
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert "claims 8000000000000 bytes of array data" in err
+        assert not (tmp_path / "out").exists()
+
     def test_diverging_ae_is_a_one_line_error(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path, _tiny_config(
             methods=["ae"], latent_dims=[4],
@@ -1260,6 +1333,29 @@ def test_cli_import_leaves_urllib_request_unloaded():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_writes_no_file_in_the_locale_encoding(tmp_path):
+    # an open() or write_text() without an encoding would depend on the
+    # locale; with this guard such a call ends the run in an error
+    cfg = _tiny_config(methods=["gft-grid", "ae", "raw"], latent_dims=[4, 9],
+                       dump_predictions=True,
+                       codec_cache_dir=str(tmp_path / "cache"))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    for command in ("reconstruct", "predict"):
+        out = tmp_path / command
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding",
+             "-W", "error::EncodingWarning", "-m", "gtslatent.cli", command,
+             "--config", str(cfg_path), "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert (out / "report.csv").exists()
+    assert (tmp_path / "predict" / "pred_ae_m9.npy").exists()
+    assert len(list((tmp_path / "cache").iterdir())) == 2
 
 
 _SHIPPED_CONFIGS = sorted(

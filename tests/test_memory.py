@@ -9,6 +9,7 @@ dataset-file readers, which run in the same process, are bounded in
 multiples of their result.
 """
 
+import io
 import tracemalloc
 
 import numpy as np
@@ -129,3 +130,22 @@ def test_load_dataset(tmp_path):
         tracemalloc.stop()
     assert loaded.sequences.tobytes() == dataset.sequences.tobytes()
     assert peak <= 1.2 * loaded.sequences.nbytes
+
+
+def test_load_dataset_rejects_an_oversized_header_unallocated(tmp_path):
+    # a header that claims 800 MB in a 192-byte file fails on the file
+    # size; read_array would allocate the claimed array before reading
+    path = tmp_path / "dataset.npy"
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": "<f8", "fortran_order": False,
+                 "shape": (100, 1000, 1000)})
+    path.write_bytes(header.getvalue() + bytes(64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="claims 800000000 bytes"):
+            data.load_dataset(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
