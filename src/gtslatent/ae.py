@@ -36,8 +36,7 @@ def loss_and_grad(codec: LinearCodec, batch) -> tuple[float, np.ndarray]:
     gradient is ``(2 / (B n)) * sum_b (r x^T A + x r^T A)``, evaluated
     here in batched form.
     """
-    x = linalg.as_matrix(np.atleast_2d(np.asarray(batch, dtype=np.float64)),
-                         "batch")
+    x = linalg.as_array(np.atleast_2d(batch), 2, "batch")
     if x.size == 0:
         raise ValueError("batch must be non-empty")
     if x.shape[1] != codec.n:
@@ -66,7 +65,7 @@ def train(codec: LinearCodec, frames, schedule: TrainSchedule,
     frames are validated once; each batch runs the unchecked loss kernel
     on the working matrix, and the codec is built only at the end.
     """
-    x = linalg.as_matrix(frames, "frames")
+    x = linalg.as_array(frames, 2, "frames")
     if x.shape[0] == 0:
         raise ValueError("training set must be non-empty")
     if x.shape[1] != codec.n:

@@ -99,11 +99,14 @@ def main(argv=None) -> int:
             value = "pred_mse"
         paths = harness.emit_report(report, out_dir)
         curves = harness.plot_curves_from_report(report, value)
+        plot_path = f"{out_dir}/{value}.svg"
         if curves:
-            plot_path = f"{out_dir}/{value}.svg"
             harness.emit_plot(curves, plot_path,
                               ylabel=value.replace("_", " "))
             paths["plot"] = plot_path
+        else:  # an earlier run's plot would outlive its report
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(plot_path)
         _print_report(report)
         for label, path in paths.items():
             print(f"  {label}: {path}")

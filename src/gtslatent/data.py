@@ -47,11 +47,7 @@ class SequenceDataset:
     frame_shape: tuple[int, int] | None = None
 
     def __post_init__(self):
-        s = np.asarray(self.sequences, dtype=np.float64)
-        if s.ndim != 3:
-            raise ValueError(f"sequences must be 3-D, got shape {s.shape}")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("sequences contain non-finite values")
+        s = linalg.as_array(self.sequences, 3, "sequences")
         if self.frame_shape is not None:
             h, w = self.frame_shape
             if h * w != s.shape[2]:
@@ -167,8 +163,7 @@ def generate_moving_crop_dataset(images: np.ndarray, crop: int,
     image (it stays put only when the window fills the image).  Frame t
     is the flattened window content at position t.
     """
-    if images.ndim != 3:
-        raise ValueError(f"images must be 3-D, got shape {images.shape}")
+    images = linalg.as_array(images, 3, "images")
     num_images, height, width = images.shape
     if crop < 1 or crop > height or crop > width:
         raise ValueError(f"crop {crop} does not fit in {height}x{width} images")
@@ -317,14 +312,19 @@ def save_csv_series(path, series) -> None:
     directly, one row of Python floats at a time.  The file is UTF-8,
     as :func:`load_csv_series` reads it.
     """
-    s = linalg.as_matrix(series, "series")
+    s = linalg.as_array(series, 2, "series")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in s)
 
 
 def sequences_from_series(series, frames_per_sequence: int) -> SequenceDataset:
-    """Chop a long (T, n) series into consecutive fixed-length sequences."""
-    s = linalg.as_matrix(series, "series")
+    """Chop a long (T, n) series into consecutive fixed-length sequences.
+
+    The result holds the ``T // frames_per_sequence`` whole sequences
+    from the start of the series; the last ``T % frames_per_sequence``
+    rows are dropped.
+    """
+    s = linalg.as_array(series, 2, "series")
     if frames_per_sequence < 2:
         raise ValueError("sequences need at least 2 frames")
     count = s.shape[0] // frames_per_sequence

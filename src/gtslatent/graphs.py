@@ -40,7 +40,7 @@ class Graph:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = linalg.as_matrix(self.weights, "adjacency")
+        w = linalg.as_array(self.weights, 2, "adjacency")
         if w.shape[0] != w.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {w.shape}")
         if not np.array_equal(w, w.T):
@@ -90,8 +90,7 @@ def semi_geometric_graph(frames, height: int, width: int) -> Graph:
     ``|cov(series_i, series_j)|`` over the frames, with the unbiased
     N-1 divisor; pairs that are not grid neighbours stay at weight 0.
     """
-    f = linalg.as_matrix(np.atleast_2d(np.asarray(frames, dtype=np.float64)),
-                         "frames")
+    f = linalg.as_array(np.atleast_2d(frames), 2, "frames")
     if f.shape[0] < 2:
         raise ValueError("covariance needs at least 2 frames")
     n = height * width
@@ -118,7 +117,7 @@ def correlation_graph(series, keep_fraction: float = DEFAULT_KEEP_FRACTION) -> G
     absolute correlation.  Ties are broken by lexicographic (i, j)
     order so the edge set is deterministic.
     """
-    s = linalg.as_matrix(series, "series")
+    s = linalg.as_array(series, 2, "series")
     t, n = s.shape
     if t < 2:
         raise ValueError("correlation needs at least 2 timepoints")

@@ -1,9 +1,8 @@
 """Dense float64 linear algebra: input checks, mean squared error, eigensolver.
 
-Matrices are plain 2-D row-major ``numpy`` arrays and vectors are 1-D
-arrays; :func:`as_matrix` / :func:`as_vector` coerce and validate inputs
-at module boundaries (shape, finiteness), as :func:`as_int` and
-:func:`as_float` do scalars.
+Arrays are plain row-major ``numpy`` float64 arrays; :func:`as_array`
+is the one check of an input array at a module boundary (rank,
+finiteness), as :func:`as_int` and :func:`as_float` are of scalars.
 Products are numpy's own ``@``.  The symmetric eigendecomposition is
 LAPACK's (``np.linalg.eigh``) with one fixed sign per eigenvector, so a
 basis is a function of the matrix alone except inside degenerate
@@ -39,21 +38,11 @@ def as_float(value, label: str) -> float:
     raise ValueError(f"{label} must be a number, got {value!r}")
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a finite 2-D float64 array or raise ``ValueError``."""
+def as_array(a, ndim: int, name: str) -> np.ndarray:
+    """``a`` as a finite float64 array of rank ``ndim``, else ``ValueError``."""
     out = np.asarray(a, dtype=np.float64)
-    if out.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return out
-
-
-def as_vector(x, name: str = "vector") -> np.ndarray:
-    """Coerce ``x`` to a finite 1-D float64 array or raise ``ValueError``."""
-    out = np.asarray(x, dtype=np.float64)
-    if out.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {out.shape}")
+    if out.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{name} contains non-finite entries")
     return out
@@ -96,7 +85,7 @@ def sym_eig(s) -> tuple[np.ndarray, np.ndarray]:
     input, and ``np.linalg.LinAlgError`` (a ``ValueError``) if LAPACK
     does not converge.
     """
-    a = as_matrix(s, "matrix")
+    a = as_array(s, 2, "matrix")
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError(f"matrix must be square, got shape {a.shape}")

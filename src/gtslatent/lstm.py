@@ -63,7 +63,7 @@ class LstmCell:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("latent dimension must be at least 1")
-        flat = np.ascontiguousarray(linalg.as_vector(self.flat, "flat"))
+        flat = np.ascontiguousarray(linalg.as_array(self.flat, 1, "flat"))
         size = 8 * self.m * (self.m + 1)
         if flat.size != size:
             raise ValueError(f"flat length {flat.size} != 8m(m+1) = {size}")
@@ -95,11 +95,9 @@ def _sigmoid(z):
 def _sequences(z, m: int, warmup: int) -> np.ndarray:
     """``z`` as a non-empty finite (S, T, m) float64 stack with T >= 2
     and 1 <= ``warmup`` <= T-1; each entry point checks it here once."""
-    s = np.asarray(z, dtype=np.float64)
-    if s.ndim != 3 or s.shape[0] == 0:
+    s = linalg.as_array(z, 3, "sequences")
+    if s.shape[0] == 0:
         raise ValueError("sequences must be a non-empty (S, T, m) array")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("sequences contain non-finite values")
     num_frames = s.shape[1]
     if num_frames < 2:
         raise ValueError("sequences need at least 2 frames")
@@ -235,7 +233,7 @@ def loss_and_grad(cell: LstmCell, frames, warmup: int):
     gradient is one fresh buffer laid out like ``cell.flat``, returned
     as its views keyed like :meth:`LstmCell.params`.
     """
-    f = _sequences(linalg.as_matrix(frames, "frames")[None], cell.m, warmup)
+    f = _sequences(linalg.as_array(frames, 2, "frames")[None], cell.m, warmup)
     loss, preds, cache, dpreds = _batch_loss(cell.flat, f, warmup)
     gflat = np.zeros_like(cell.flat)
     _backward(cell.flat, warmup, preds, cache, dpreds, gflat)
@@ -289,9 +287,7 @@ def evaluate_prediction(cell: LstmCell, latent_sequences, raw_sequences,
     Pass an identity ``decode_fn`` for uncompressed inputs.
     """
     preds = rollout(cell, latent_sequences, warmup)
-    raw = np.asarray(raw_sequences, dtype=np.float64)
-    if raw.ndim != 3:
-        raise ValueError("sequence stacks must be 3-D (S, T, dim)")
+    raw = linalg.as_array(raw_sequences, 3, "raw sequences")
     if raw.shape[:2] != (preds.shape[0], preds.shape[1] + 1):
         raise ValueError("latent and raw sequence stacks must align")
     free = preds[:, warmup - 1:, :]          # predictions of frames W+1..T

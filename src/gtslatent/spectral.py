@@ -39,13 +39,13 @@ class LinearCodec:
     eigenvalues: np.ndarray | None = None
 
     def __post_init__(self):
-        a = linalg.as_matrix(self.a, "codec matrix")
+        a = linalg.as_array(self.a, 2, "codec matrix")
         n, m = a.shape
         if not 1 <= m <= n:
             raise ValueError(f"m={m} out of range [1, {n}]")
         object.__setattr__(self, "a", a)
         if self.eigenvalues is not None:
-            ev = linalg.as_vector(self.eigenvalues, "eigenvalues")
+            ev = linalg.as_array(self.eigenvalues, 1, "eigenvalues")
             if ev.shape != (m,):
                 raise ValueError("eigenvalues length does not match m")
             if np.any(np.diff(ev) < -1e-10):
@@ -63,8 +63,7 @@ class LinearCodec:
 
 def compute_basis(lap, m: int) -> LinearCodec:
     """Eigendecompose a Laplacian and keep the m lowest-eigenvalue columns."""
-    eigenvalues, eigenvectors = linalg.sym_eig(
-        linalg.as_matrix(lap, "laplacian"))
+    eigenvalues, eigenvectors = linalg.sym_eig(lap)
     return truncate(LinearCodec(eigenvectors, eigenvalues), m)
 
 
@@ -88,7 +87,7 @@ def truncate(codec: LinearCodec, m: int) -> LinearCodec:
 
 def encode_frames(codec: LinearCodec, frames) -> np.ndarray:
     """Encode a (num_frames, n) stack row by row."""
-    f = linalg.as_matrix(frames, "frames")
+    f = linalg.as_array(frames, 2, "frames")
     if f.shape[1] != codec.n:
         raise ValueError(f"frame length {f.shape[1]} != n={codec.n}")
     return f @ codec.a
@@ -96,7 +95,7 @@ def encode_frames(codec: LinearCodec, frames) -> np.ndarray:
 
 def decode_frames(codec: LinearCodec, coeffs) -> np.ndarray:
     """Decode a (num_frames, m) stack row by row."""
-    c = linalg.as_matrix(coeffs, "coefficients")
+    c = linalg.as_array(coeffs, 2, "coefficients")
     if c.shape[1] != codec.m:
         raise ValueError(f"coefficient length {c.shape[1]} != m={codec.m}")
     return c @ codec.a.T
@@ -104,5 +103,5 @@ def decode_frames(codec: LinearCodec, coeffs) -> np.ndarray:
 
 def reconstruction_mse(codec: LinearCodec, frames) -> float:
     """Mean squared round-trip error of the codec."""
-    f = linalg.as_matrix(frames, "frames")
+    f = np.asarray(frames, dtype=np.float64)
     return linalg.mse(f, decode_frames(codec, encode_frames(codec, f)))

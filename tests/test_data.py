@@ -138,6 +138,10 @@ class TestMovingCrop:
             data.generate_moving_crop_dataset(images, 9, 5, 2, seed=1)
         with pytest.raises(ValueError):
             data.generate_moving_crop_dataset(images, 4, 5, 3, seed=1)
+        images[1, 2, 3] = np.nan
+        with pytest.raises(ValueError,
+                           match="images contains non-finite entries"):
+            data.generate_moving_crop_dataset(images, 4, 5, 2, seed=1)
 
     def test_takes_a_plain_array_and_rejects_other_ranks(self):
         images = np.zeros((2, 8, 8))
@@ -539,7 +543,11 @@ class TestSplit:
 
 class TestValidation:
     def test_sequence_dataset_shape(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(
+                "sequences must be 3-D, got shape (2, 3)")):
             data.SequenceDataset(np.zeros((2, 3)))
+        with pytest.raises(ValueError,
+                           match="sequences contains non-finite entries"):
+            data.SequenceDataset(np.full((2, 3, 4), np.inf))
         with pytest.raises(ValueError):
             data.SequenceDataset(np.zeros((2, 3, 4)), frame_shape=(2, 3))

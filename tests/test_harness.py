@@ -1081,6 +1081,20 @@ class TestCli:
         assert (tmp_path / "out" / "report.json").exists()
         assert (tmp_path / "out" / "recon_mse.svg").exists()
 
+    def test_rerun_without_a_plot_removes_the_old_one(self, tmp_path, capsys):
+        # an output directory describes one run: a one-point rerun draws
+        # no plot, so the two-point plot of the first run must go
+        out = str(tmp_path / "out")
+        for dims in ([2, 4], [4]):
+            cfg_path = self._write_config(tmp_path, _tiny_config(
+                methods=["gft-grid"], latent_dims=dims))
+            assert cli.main(["reconstruct", "--config", cfg_path,
+                             "--out", out]) == 0
+            printed = capsys.readouterr().out
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "report.csv", "report.json"]
+        assert "plot:" not in printed
+
     def test_predict_runs(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path, _tiny_config(
             methods=["gft-grid", "raw"], latent_dims=[4]))

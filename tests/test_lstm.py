@@ -543,8 +543,12 @@ class TestRollout:
         cell = lstm.init_cell(2, seed=42)
         with pytest.raises(ValueError):
             lstm.rollout(cell, np.zeros((0, 4, 2)), warmup=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"sequences must be 3-D, got "
+                                             r"shape \(4, 2\)"):
             lstm.rollout(cell, np.zeros((4, 2)), warmup=2)
+        with pytest.raises(ValueError,
+                           match="sequences contains non-finite entries"):
+            lstm.rollout(cell, np.full((2, 4, 2), np.nan), warmup=2)
         with pytest.raises(ValueError):
             lstm.rollout(cell, np.zeros((2, 4, 3)), warmup=2)
         with pytest.raises(ValueError):
@@ -591,6 +595,19 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             lstm.evaluate_prediction(cell, np.zeros((2, 5, 2)),
                                      np.zeros((3, 5, 4)), 2, lambda z: z)
+        with pytest.raises(ValueError, match="raw sequences must be 3-D"):
+            lstm.evaluate_prediction(cell, np.zeros((2, 5, 2)),
+                                     np.zeros((10, 4)), 2, lambda z: z)
+
+    def test_rejects_non_finite_raw_frames(self):
+        # a NaN target frame would otherwise score as a silent nan MSE
+        cell = lstm.init_cell(2, seed=32)
+        raw = np.zeros((2, 5, 4))
+        raw[1, 3, 2] = np.nan
+        with pytest.raises(ValueError,
+                           match="raw sequences contains non-finite entries"):
+            lstm.evaluate_prediction(cell, np.zeros((2, 5, 2)), raw, 2,
+                                     lambda z: np.tile(z, 2))
 
 
 def _same_bits(got, ref):
