@@ -10,11 +10,14 @@ Three subcommands, each driven by a JSON config file:
 
 ``--seed`` overrides the config seed, ``--out`` picks the output
 directory, which is created before any work (and removed again if a
-configuration or I/O error stops the run while it is empty).  The
-config is read as UTF-8 (RFC 8259).  Exit code is 0 on success, 1 with
-a diagnostic on stderr for any configuration or I/O error (a
-``ValueError`` or ``OSError``); any other exception is a bug and
-propagates with its traceback.
+configuration or I/O error stops the run while it is empty).  There
+``reconstruct`` and ``predict`` write or remove each of ``report.json``,
+``report.csv``, ``recon_mse.svg``, ``pred_mse.svg`` and
+``predictions.npy``, so the directory holds one run.  The config is
+read as UTF-8 (RFC 8259); a key it repeats is an error.  Exit code is 0
+on success, 1 with a diagnostic on stderr for any configuration or I/O
+error (a ``ValueError`` or ``OSError``); any other exception is a bug
+and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -33,9 +36,8 @@ def _add_common(parser):
                         help="path to the JSON experiment config")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    parser.add_argument("--out", default=None,
-                        help="output directory (default: config out_dir "
-                             "or ./gtslatent-out)")
+    parser.add_argument("--out", default="gtslatent-out",
+                        help="output directory (default: ./gtslatent-out)")
 
 
 def _build_parser():
@@ -64,27 +66,37 @@ def _print_report(report):
         print(line)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; ``json.load`` alone keeps a repeated key's
+    last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"config has duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     made_dir = None  # the output directory, once this run has created it
     try:
-        if args.out == "":  # would otherwise fall back to the default
+        if args.out == "":  # names no directory
             raise ValueError("--out must be a non-empty path, got ''")
         with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
         if not isinstance(raw, dict):
             raise ValueError(f"config must be an object, got {raw!r}")
         if args.seed is not None:
             raw["seed"] = args.seed
-        out_dir = args.out or raw.get("out_dir") or "gtslatent-out"
         config = harness.config_from_dict(raw)
-        if not os.path.isdir(out_dir):
-            os.makedirs(out_dir)
-            made_dir = out_dir
+        if not os.path.isdir(args.out):
+            os.makedirs(args.out)
+            made_dir = args.out
 
         if args.command == "gen-data":
             dataset = harness.build_dataset(config)
-            path = os.path.join(out_dir, "dataset.npy")
+            path = os.path.join(args.out, "dataset.npy")
             data.save_dataset(path, dataset)
             print(f"wrote {dataset.count} sequences of "
                   f"{dataset.num_frames}x{dataset.frame_dim} frames")
@@ -97,16 +109,17 @@ def main(argv=None) -> int:
         else:
             report = harness.run_prediction_experiment(config)
             value = "pred_mse"
-        paths = harness.emit_report(report, out_dir)
+        paths = harness.emit_report(report, args.out)
         curves = harness.plot_curves_from_report(report, value)
-        plot_path = f"{out_dir}/{value}.svg"
-        if curves:
-            harness.emit_plot(curves, plot_path,
-                              ylabel=value.replace("_", " "))
-            paths["plot"] = plot_path
-        else:  # an earlier run's plot would outlive its report
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(plot_path)
+        for name in ("recon_mse", "pred_mse"):
+            plot_path = f"{args.out}/{name}.svg"
+            if name == value and curves:
+                harness.emit_plot(curves, plot_path,
+                                  ylabel=value.replace("_", " "))
+                paths["plot"] = plot_path
+            else:  # a plot this run did not draw is an earlier run's
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(plot_path)
         _print_report(report)
         for label, path in paths.items():
             print(f"  {label}: {path}")

@@ -425,8 +425,7 @@ def split(dataset: SequenceDataset, train_fraction: float,
             f"split of {total} sequences at fraction {train_fraction} "
             f"leaves an empty side"
         )
-    order = list(range(total))
-    Rng(seed).shuffle(order)
+    order = next(Rng(seed).permutations(total, 1))
     train_idx = order[:num_train]
     test_idx = order[num_train:]
     return (

@@ -241,14 +241,13 @@ _CONFIG_KEYS = {
     "latent_scale": (_auto, "auto"),  # latents are always scaled
     "codec_cache_dir": (_path_or_null, None),
     "dump_predictions": (_typed(bool, "true or false"), False),
-    "out_dir": (_path_or_null, None),  # read by the CLI
 }
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a parsed JSON config and build an ExperimentConfig."""
     values = _read_block(raw, _CONFIG_KEYS, "config", prefix="")
-    del values["out_dir"], values["latent_scale"]
+    del values["latent_scale"]
     return ExperimentConfig(**values, source=dict(raw))
 
 
@@ -678,11 +677,13 @@ def _run_cells(inputs: _CellInputs, cells: list) -> list:
 
 
 def emit_report(report: Report, out_dir) -> dict:
-    """Write report.json, report.csv and any prediction dumps.
+    """Write report.json, report.csv and predictions.npy; return their paths.
 
     The CSV carries one row per (method, m) cell with stable ordering
     and repr-formatted floats, so identical experiments produce
-    byte-identical files.
+    byte-identical files.  Row i of ``predictions.npy``, shape (cells,
+    T - warmup, n), is cell i's sample prediction; a report without any
+    removes the file, so an earlier run's dump cannot outlive its report.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -702,11 +703,13 @@ def emit_report(report: Report, out_dir) -> dict:
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     paths["csv"] = str(csv_path)
 
-    for cell in report.cells:
-        if cell.sample_prediction is not None:
-            dump = out / f"pred_{cell.method}_m{cell.m}.npy"
-            data.save_array(dump, cell.sample_prediction)
-            paths[f"pred_{cell.method}_m{cell.m}"] = str(dump)
+    dump = out / "predictions.npy"
+    samples = [cell.sample_prediction for cell in report.cells]
+    if any(sample is not None for sample in samples):
+        data.save_array(dump, np.stack(samples))
+        paths["predictions"] = str(dump)
+    else:
+        dump.unlink(missing_ok=True)
     return paths
 
 

@@ -9,9 +9,9 @@ parallelised (one moving-crop sequence, one training run) gets its own
 child stream via :func:`derive_seed`, so results do not depend on the
 order in which items are produced.
 
-Bulk draws (:meth:`Rng.uniform_matrix`, :meth:`Rng.shuffle`,
-:meth:`Rng.permutations`) produce exactly the numbers of the one-at-a-
-time stream, but many at once in numpy.  The xoshiro state update is
+Bulk draws (:meth:`Rng.uniform_matrix`, :meth:`Rng.permutations`)
+produce exactly the numbers of the one-at-a-time stream, but many at
+once in numpy.  The xoshiro state update is
 linear over GF(2), so b steps of it are a 256x256 bit matrix J = T^b
 (Haramoto et al., INFORMS J. Computing 2008).  A block draw steps the
 current state together with the 256 unit states for b steps; the unit
@@ -98,19 +98,13 @@ class Rng:
             raise ValueError("randint needs n >= 1")
         return self.next_u64() % n
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        n = len(items)
-        _swap_down(items, self._next_block(max(n - 1, 0))
-                   % np.arange(n, 1, -1, dtype=np.uint64))
-
     def permutations(self, n: int, count: int):
         """Yield ``count`` permutations of ``range(n)`` as index arrays.
 
-        They equal ``count`` successive :meth:`shuffle` calls on
-        ``list(range(n))``, with the draws made in blocks of up to
-        ~1M.  The draws happen as the generator is consumed, so the
-        stream must not serve other draws until it is exhausted.
+        Each is ``list(range(n))`` after the Fisher-Yates swaps of item
+        i with item ``randint(i + 1)``, i = n-1..1, drawn in blocks of up
+        to ~1M as the generator is consumed, so the stream must not
+        serve other draws until it is exhausted.
         """
         if n < 0 or count < 0:
             raise ValueError("permutations needs n >= 0 and count >= 0")

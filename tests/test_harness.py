@@ -433,8 +433,8 @@ class TestPredictionExperiment:
                            dump_predictions=True, methods=["gft-grid", "raw"])
         report = harness.run_prediction_experiment(harness.config_from_dict(cfg))
         paths = harness.emit_report(report, tmp_path)
-        assert paths["pred_gft-grid_m4"] == str(tmp_path / "pred_gft-grid_m4.npy")
-        values = data.load_array(tmp_path / "pred_gft-grid_m4.npy")
+        assert paths["predictions"] == str(tmp_path / "predictions.npy")
+        values = data.load_array(tmp_path / "predictions.npy")[0]
         assert values.shape == (4, 36)  # T - warmup free-run frames, n pixels
         # the dump holds the prediction bit for bit
         cell = report.cells[0]
@@ -738,7 +738,7 @@ class TestCellWorkers:
         assert runs[2][0][2] == runs[2][1][2] == []
         for one, two in zip(runs[1], runs[2]):
             assert one[:2] == two[:2]
-            assert "pred_ae_m9.npy" in one[1]
+            assert "predictions.npy" in one[1]
         assert caches[1] == caches[2]
         cold, warm = runs[1][0][0], runs[1][1][0]
         ae_cells = [i for i, c in enumerate(cold["cells"]) if c["method"] == "ae"]
@@ -873,6 +873,21 @@ class TestEmitReport:
         for a, b in zip(loaded.cells, report.cells):
             assert a.method == b.method and a.m == b.m
             assert a.recon_mse == b.recon_mse and a.pred_mse == b.pred_mse
+
+    def test_predictions_row_i_is_cell_i(self, tmp_path):
+        config = harness.config_from_dict(_tiny_config(
+            methods=["gft-grid", "ae", "raw"], latent_dims=[4, 9],
+            dump_predictions=True))
+        report = harness.run_prediction_experiment(config)
+        harness.emit_report(report, tmp_path)
+        rows = data.load_array(tmp_path / "predictions.npy")
+        assert rows.shape == (5, 4, 36)  # cells, T - warmup, n
+        cells = json.loads((tmp_path / "report.json").read_text())["cells"]
+        lines = (tmp_path / "report.csv").read_text().splitlines()
+        for i, cell in enumerate(report.cells):
+            assert rows[i].tobytes() == cell.sample_prediction.tobytes()
+            assert (cells[i]["method"], cells[i]["m"]) == (cell.method, cell.m)
+            assert lines[i + 1].startswith(f"{cell.method},{cell.m},")
 
 
 class TestReportJson:
@@ -1095,6 +1110,37 @@ class TestCli:
             "report.csv", "report.json"]
         assert "plot:" not in printed
 
+    def test_out_holds_one_run(self, tmp_path, capsys):
+        # reconstruct and predict write or remove each of their five
+        # file names, so no file of an earlier run outlives its report;
+        # every other file in --out, even one named like an old
+        # per-cell dump, is left as it is
+        out = tmp_path / "out"
+        assert cli.main(["gen-data", "--config", self._write_config(
+            tmp_path, _tiny_config()), "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("mine", encoding="utf-8")
+        (out / "pred_ae_m4.npy").write_bytes(b"an older version's dump")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        steps = [  # command, latent_dims, dump_predictions, its own files
+            ("predict", [4, 9], True, ["pred_mse.svg", "predictions.npy"]),
+            ("predict", [9], True, ["predictions.npy"]),
+            ("reconstruct", [4, 9], False, ["recon_mse.svg"]),
+            ("predict", [4, 9], False, ["pred_mse.svg"]),
+            ("reconstruct", [9], False, []),
+        ]
+        for command, dims, dump, written in steps:
+            cfg_path = self._write_config(tmp_path, _tiny_config(
+                methods=["gft-grid", "raw"], latent_dims=dims,
+                dump_predictions=dump))
+            assert cli.main([command, "--config", cfg_path,
+                             "--out", str(out)]) == 0
+            expected = [*before, "report.csv", "report.json", *written]
+            assert sorted(os.listdir(out)) == sorted(expected), (command, dims)
+            rows = len((out / "report.csv").read_text().splitlines()) - 1
+            if dump:
+                assert len(data.load_array(out / "predictions.npy")) == rows
+        assert {name: (out / name).read_bytes() for name in before} == before
+
     def test_predict_runs(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path, _tiny_config(
             methods=["gft-grid", "raw"], latent_dims=[4]))
@@ -1298,6 +1344,25 @@ class TestCliRejectsBeforeAnyWork:
         assert not (tmp_path / "out").exists()
         return err
 
+    @pytest.mark.parametrize("old, new", [
+        ('"seed": 11', '"seed": 1, "seed": 5'),
+        ('"frames": 4', '"frames": 4, "frames": 6'),  # in dataset
+        ('"lr0": 0.01', '"lr0": 0.01, "lr0": 0.02'),  # in ae_schedule
+    ], ids=["seed", "frames", "lr0"])
+    def test_duplicate_key(self, tmp_path, capsys, old, new):
+        # json.load alone keeps a repeated key's last value, so the run
+        # would silently use the one the file states second
+        text = json.dumps(_tiny_config(dataset=_sprite_block()))
+        assert text.count(old) == 1
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(text.replace(old, new), encoding="utf-8")
+        code = cli.main(["reconstruct", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")])
+        key = old.split('"')[1]
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: config has duplicate key '{key}'\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("cfg, key", [
         (_tiny_config(lstm_shedule=_schedule()), "lstm_shedule"),
         (_tiny_config(lstm_schedule=_schedule(lr_milestone=[[1, 10]])),
@@ -1368,7 +1433,7 @@ def test_cli_writes_no_file_in_the_locale_encoding(tmp_path):
             env={**os.environ, "PYTHONPATH": src})
         assert done.returncode == 0, done.stderr
         assert (out / "report.csv").exists()
-    assert (tmp_path / "predict" / "pred_ae_m9.npy").exists()
+    assert (tmp_path / "predict" / "predictions.npy").exists()
     assert len(list((tmp_path / "cache").iterdir())) == 2
 
 

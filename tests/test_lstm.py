@@ -163,7 +163,9 @@ def _reference_train(cell, seqs, schedule, warmup, seed):
     for epoch in range(schedule.epochs):
         lr, wd = schedule_at(schedule, epoch)
         order = list(range(seqs.shape[0]))
-        rng.shuffle(order)
+        for i in range(len(order) - 1, 0, -1):  # one draw at a time
+            j = rng.randint(i + 1)
+            order[i], order[j] = order[j], order[i]
         total = 0.0
         for start in range(0, len(order), schedule.batch_size):
             chunk = order[start:start + schedule.batch_size]
