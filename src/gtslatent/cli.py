@@ -10,14 +10,13 @@ Three subcommands, each driven by a JSON config file:
 
 ``--seed`` overrides the config seed, ``--out`` picks the output
 directory, which is created before any work (and removed again if a
-configuration or I/O error stops the run while it is empty).  There
-``reconstruct`` and ``predict`` write or remove each of ``report.json``,
-``report.csv``, ``recon_mse.svg``, ``pred_mse.svg`` and
-``predictions.npy``, so the directory holds one run.  The config is
-read as UTF-8 (RFC 8259); a key it repeats is an error.  Exit code is 0
-on success, 1 with a diagnostic on stderr for any configuration or I/O
-error (a ``ValueError`` or ``OSError``); any other exception is a bug
-and propagates with its traceback.
+configuration or I/O error stops the run while it is empty).
+``reconstruct`` and ``predict`` write it as a run directory with
+:func:`harness.emit_report`, whose docstring names its files.  The
+config is read as UTF-8 (RFC 8259); a key it repeats is an error.
+Exit code is 0 on success, 1 with a diagnostic on stderr for any
+configuration or I/O error (a ``ValueError`` or ``OSError``); any
+other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -105,21 +104,9 @@ def main(argv=None) -> int:
 
         if args.command == "reconstruct":
             report = harness.run_reconstruction_experiment(config)
-            value = "recon_mse"
         else:
             report = harness.run_prediction_experiment(config)
-            value = "pred_mse"
         paths = harness.emit_report(report, args.out)
-        curves = harness.plot_curves_from_report(report, value)
-        for name in ("recon_mse", "pred_mse"):
-            plot_path = f"{args.out}/{name}.svg"
-            if name == value and curves:
-                harness.emit_plot(curves, plot_path,
-                                  ylabel=value.replace("_", " "))
-                paths["plot"] = plot_path
-            else:  # a plot this run did not draw is an earlier run's
-                with contextlib.suppress(FileNotFoundError):
-                    os.remove(plot_path)
         _print_report(report)
         for label, path in paths.items():
             print(f"  {label}: {path}")

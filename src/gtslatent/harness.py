@@ -4,8 +4,8 @@ A JSON config describes a dataset (generator parameters or file
 paths), the representations to compare, the latent dimensions to
 sweep, and the training schedules.  The driver fits every codec on the
 training split only, evaluates on the held-out split, and produces a
-:class:`Report` that can be written as a machine-readable JSON file, a
-CSV table, and an SVG curve plot.
+:class:`Report`, which :func:`emit_report` writes as a run directory:
+a JSON report, a CSV table, the prediction dump and an SVG curve plot.
 
 Determinism: everything stochastic is seeded from the config seed
 through fixed stream tags, so a rerun with the same config produces
@@ -93,7 +93,6 @@ class ExperimentConfig:
     warmup: int
     keep_fraction: float
     codec_cache_dir: str | None
-    dump_predictions: bool
     source: dict     # raw config echo
 
     def __post_init__(self):
@@ -240,7 +239,6 @@ _CONFIG_KEYS = {
     "keep_fraction": (_as_float, graphs.DEFAULT_KEEP_FRACTION),
     "latent_scale": (_auto, "auto"),  # latents are always scaled
     "codec_cache_dir": (_path_or_null, None),
-    "dump_predictions": (_typed(bool, "true or false"), False),
 }
 
 
@@ -594,10 +592,9 @@ def _predict(inputs: _CellInputs, codec: spectral.LinearCodec | None,
     cell.pred_mse, decoded = lstm.evaluate_prediction(
         trained, z_test, inputs.test_set.sequences, config.warmup, decode_fn)
     cell.lstm_loss_history = [float(v) for v in history]
-    if config.dump_predictions:
-        # the first test sequence's scored predictions, not a view that
-        # would keep every decoded prediction alive
-        cell.sample_prediction = decoded[0].copy()
+    # the first test sequence's scored predictions, not a view that
+    # would keep every decoded prediction alive
+    cell.sample_prediction = decoded[0].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -677,40 +674,54 @@ def _run_cells(inputs: _CellInputs, cells: list) -> list:
 
 
 def emit_report(report: Report, out_dir) -> dict:
-    """Write report.json, report.csv and predictions.npy; return their paths.
+    """Write ``report`` as a run directory; return the paths written.
 
-    The CSV carries one row per (method, m) cell with stable ordering
-    and repr-formatted floats, so identical experiments produce
-    byte-identical files.  Row i of ``predictions.npy``, shape (cells,
-    T - warmup, n), is cell i's sample prediction; a report without any
-    removes the file, so an earlier run's dump cannot outlive its report.
+    Each call writes or removes every one of a run directory's five
+    names, so no file of an earlier run outlives its report, and
+    touches no other file:
+
+    * ``report.json``: the whole report (:func:`report_to_dict`);
+    * ``report.csv``: one ``method,m,recon_mse,pred_mse`` row per cell,
+      in cell order with repr-formatted floats, so identical
+      experiments give byte-identical files;
+    * ``predictions.npy``, for a prediction report only: row i, of
+      shape (T - warmup, n), is cell i's scored first test sequence;
+    * ``recon_mse.svg`` or ``pred_mse.svg``: the report kind's MSE
+      against m, one curve per method with two or more m, if any.  The
+      other kind's name is always removed.
+
+    The dict maps ``json``, ``csv``, ``predictions`` and ``plot``, in
+    that order, to the files written.
     """
+    predict = report.kind == "prediction"
+    samples = [cell.sample_prediction for cell in report.cells]
+    if predict and any(sample is None for sample in samples):
+        # e.g. a report read back from JSON, which holds no samples
+        raise ValueError("a prediction report needs every cell's "
+                         "sample_prediction")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {}
-
-    json_path = out / "report.json"
-    json_path.write_text(json.dumps(report_to_dict(report), indent=2) + "\n",
-                         encoding="utf-8")
-    paths["json"] = str(json_path)
-
-    csv_path = out / "report.csv"
+    paths = {"json": out / "report.json", "csv": out / "report.csv"}
+    paths["json"].write_text(
+        json.dumps(report_to_dict(report), indent=2) + "\n", encoding="utf-8")
     lines = ["method,m,recon_mse,pred_mse"]
     for cell in report.cells:
         pred = "" if cell.pred_mse is None else repr(float(cell.pred_mse))
         lines.append(f"{cell.method},{cell.m},"
                      f"{repr(float(cell.recon_mse))},{pred}")
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    paths["csv"] = str(csv_path)
-
-    dump = out / "predictions.npy"
-    samples = [cell.sample_prediction for cell in report.cells]
-    if any(sample is not None for sample in samples):
-        data.save_array(dump, np.stack(samples))
-        paths["predictions"] = str(dump)
-    else:
-        dump.unlink(missing_ok=True)
-    return paths
+    paths["csv"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if predict:
+        paths["predictions"] = out / "predictions.npy"
+        data.save_array(paths["predictions"], np.stack(samples))
+    value = "pred_mse" if predict else "recon_mse"
+    curves = _plot_curves(report, value)
+    if curves:
+        paths["plot"] = out / f"{value}.svg"
+        emit_plot(curves, paths["plot"], ylabel=value.replace("_", " "))
+    for name in ("predictions.npy", "recon_mse.svg", "pred_mse.svg"):
+        if out / name not in paths.values():  # an earlier run's file
+            (out / name).unlink(missing_ok=True)
+    return {label: str(path) for label, path in paths.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -795,13 +806,11 @@ def emit_plot(curves: dict, path, ylabel: str = "MSE") -> None:
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
-def plot_curves_from_report(report: Report, value: str = "recon_mse") -> dict:
-    """Group report cells into per-method (m, value) series for plotting."""
+def _plot_curves(report: Report, value: str) -> dict:
+    """Per-method (m, value) series of the methods with two or more."""
     curves: dict = {}
     for cell in report.cells:
-        val = getattr(cell, value)
-        if val is None:
-            continue
-        curves.setdefault(cell.method, []).append((cell.m, val))
+        curves.setdefault(cell.method, []).append(
+            (cell.m, getattr(cell, value)))
     return {name: sorted(pts) for name, pts in curves.items()
             if len(pts) >= 2}

@@ -107,11 +107,9 @@ class TestConfig:
         ("ae_schedule", 3), ("dataset", 3), ("methods", 5), ("methods", "ae"),
         ("train_fraction", None), ("keep_fraction", "0.5"),
         ("grad_clip", True),  # not a key any more: rejected by name
-        ("latent_scale", True),
-        ("dump_predictions", "no"), ("dump_predictions", 1),
-        ("codec_cache_dir", 5), ("out_dir", 5),
+        ("latent_scale", True), ("codec_cache_dir", 5),
         # an empty path would name the working directory
-        ("codec_cache_dir", ""), ("out_dir", ""),
+        ("codec_cache_dir", ""),
     ])
     def test_malformed_integers_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
@@ -185,6 +183,12 @@ class TestConfigSchema:
         (_tiny_config(dataset=_crop_source(type="stl10", path="x.bin",
                                            count=5)),
          "dataset source", "count"),
+        # keys that are gone: --out names the output directory, and
+        # every prediction run keeps its scored samples
+        (_tiny_config(out_dir=5), "config", "out_dir"),
+        (_tiny_config(out_dir=""), "config", "out_dir"),
+        (_tiny_config(dump_predictions="no"), "config", "dump_predictions"),
+        (_tiny_config(dump_predictions=1), "config", "dump_predictions"),
     ])
     def test_unknown_key_rejected(self, cfg, label, key):
         message = f"{label} has unknown key {key!r}; expected one of ["
@@ -254,9 +258,8 @@ class TestConfigSchema:
              "latent_dims": [], "seed": 3,
              "ae_schedule": {"epochs": 1, "batch_size": 2, "lr0": 0.1}})
         assert (config.train_fraction, config.warmup, config.keep_fraction,
-                config.codec_cache_dir, config.dump_predictions,
-                config.lstm_schedule) == (
-            0.7, 10, graphs.DEFAULT_KEEP_FRACTION, None, False, None)
+                config.codec_cache_dir, config.lstm_schedule) == (
+            0.7, 10, graphs.DEFAULT_KEEP_FRACTION, None, None)
         assert config.ae_schedule == harness.TrainSchedule(1, 2, 0.1)
         dataset = harness.build_dataset(config)
         assert (dataset.count, dataset.num_frames) == (100, 20)
@@ -299,12 +302,14 @@ class TestConfigSchema:
 
     def test_shipped_config_digests_unchanged(self, tmp_path):
         # the config hash of earlier releases, so existing reports stay
-        # valid, and the codec-cache names of this key, so caches do
+        # valid, and the codec-cache names of this key, so caches do;
+        # desk_predict's hash changed once, when it lost the
+        # dump_predictions key (every predict run now dumps)
         root = Path(__file__).resolve().parent.parent / "configs"
         frames = np.arange(2 * 3 * 256, dtype=np.float64).reshape(2, 3, 256)
         expected = {
             "desk_predict": (
-                "c67e0bf14e4ab5bc68352ce2110b4c692641ff807d53cc0c4e6fc71a3688ebc6",
+                "e13380e3f55e42b917808725c18980d7bf2b60865e242102f16d086945210509",
                 ["ae_n256_m64_50c44ae302e6faca.npy"]),
             "full_scale_stl10": (
                 "e7544b2f2df3938dbbed5a6d2e2ce3868bb4fc81686061de933496450b428e20",
@@ -430,7 +435,7 @@ class TestPredictionExperiment:
 
     def test_latent_scale_auto_and_dump(self, tmp_path):
         cfg = _tiny_config(latent_dims=[4], latent_scale="auto",
-                           dump_predictions=True, methods=["gft-grid", "raw"])
+                           methods=["gft-grid", "raw"])
         report = harness.run_prediction_experiment(harness.config_from_dict(cfg))
         paths = harness.emit_report(report, tmp_path)
         assert paths["predictions"] == str(tmp_path / "predictions.npy")
@@ -468,8 +473,7 @@ class TestPredictionExperiment:
             scored.append(decoded)
             return mse, decoded
 
-        config = harness.config_from_dict(_tiny_config(
-            latent_dims=[4], dump_predictions=True))
+        config = harness.config_from_dict(_tiny_config(latent_dims=[4]))
         with monkeypatch.context() as mp:  # one CPU: the cells run here
             mp.setattr(os, "sched_getaffinity", lambda pid: {0},
                        raising=False)
@@ -553,7 +557,6 @@ class TestCodecCache:
         assert entry(dict(
             base, methods=["ae", "raw"], latent_dims=[4, 9],
             keep_fraction=0.3, warmup=3, latent_scale="auto",
-            dump_predictions=True,
             lstm_schedule=dict(base["lstm_schedule"], epochs=5))) == key
         # and each field it reads does: the seed, the AE schedule, and
         # the training frames, which the split and the dataset determine
@@ -725,7 +728,7 @@ class TestCellWorkers:
         cache = tmp_path / "cache"
         config = harness.config_from_dict(_tiny_config(
             methods=list(harness.METHODS), latent_dims=[4, 9],
-            keep_fraction=0.1, latent_scale="auto", dump_predictions=True,
+            keep_fraction=0.1, latent_scale="auto",
             codec_cache_dir=str(cache)))
         run = harness.run_prediction_experiment
         runs, caches = {}, {}
@@ -766,8 +769,7 @@ class TestCellWorkers:
                                                    monkeypatch):
         # each LSTM diverges after its cell trained the AE; the cell has
         # cached that AE by then, so a rerun need not train it again
-        good = _tiny_config(methods=["ae"], latent_dims=[4, 9],
-                            dump_predictions=True)
+        good = _tiny_config(methods=["ae"], latent_dims=[4, 9])
         bad = dict(good, lstm_schedule=_schedule(lr0=1e308))
         run = harness.run_prediction_experiment
 
@@ -876,8 +878,7 @@ class TestEmitReport:
 
     def test_predictions_row_i_is_cell_i(self, tmp_path):
         config = harness.config_from_dict(_tiny_config(
-            methods=["gft-grid", "ae", "raw"], latent_dims=[4, 9],
-            dump_predictions=True))
+            methods=["gft-grid", "ae", "raw"], latent_dims=[4, 9]))
         report = harness.run_prediction_experiment(config)
         harness.emit_report(report, tmp_path)
         rows = data.load_array(tmp_path / "predictions.npy")
@@ -888,6 +889,21 @@ class TestEmitReport:
             assert rows[i].tobytes() == cell.sample_prediction.tobytes()
             assert (cells[i]["method"], cells[i]["m"]) == (cell.method, cell.m)
             assert lines[i + 1].startswith(f"{cell.method},{cell.m},")
+
+    def test_prediction_report_without_samples_writes_nothing(self,
+                                                              tmp_path):
+        # a report read back from JSON has no samples, so it cannot
+        # rewrite a run directory's predictions.npy
+        config = harness.config_from_dict(_tiny_config(
+            methods=["gft-grid"], latent_dims=[4]))
+        report = harness.run_prediction_experiment(config)
+        harness.emit_report(report, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        loaded = harness.report_from_dict(harness.report_to_dict(report))
+        with pytest.raises(ValueError, match="^a prediction report needs "
+                                             "every cell's sample_prediction$"):
+            harness.emit_report(loaded, tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestReportJson:
@@ -1121,25 +1137,44 @@ class TestCli:
         (out / "notes.txt").write_text("mine", encoding="utf-8")
         (out / "pred_ae_m4.npy").write_bytes(b"an older version's dump")
         before = {p.name: p.read_bytes() for p in out.iterdir()}
-        steps = [  # command, latent_dims, dump_predictions, its own files
-            ("predict", [4, 9], True, ["pred_mse.svg", "predictions.npy"]),
-            ("predict", [9], True, ["predictions.npy"]),
-            ("reconstruct", [4, 9], False, ["recon_mse.svg"]),
-            ("predict", [4, 9], False, ["pred_mse.svg"]),
-            ("reconstruct", [9], False, []),
+        steps = [  # command, latent_dims, its own files
+            ("predict", [4, 9], ["pred_mse.svg", "predictions.npy"]),
+            ("predict", [9], ["predictions.npy"]),
+            ("reconstruct", [4, 9], ["recon_mse.svg"]),
+            ("predict", [4, 9], ["pred_mse.svg", "predictions.npy"]),
+            ("reconstruct", [9], []),
         ]
-        for command, dims, dump, written in steps:
+        for command, dims, written in steps:
             cfg_path = self._write_config(tmp_path, _tiny_config(
-                methods=["gft-grid", "raw"], latent_dims=dims,
-                dump_predictions=dump))
+                methods=["gft-grid", "raw"], latent_dims=dims))
             assert cli.main([command, "--config", cfg_path,
                              "--out", str(out)]) == 0
             expected = [*before, "report.csv", "report.json", *written]
             assert sorted(os.listdir(out)) == sorted(expected), (command, dims)
             rows = len((out / "report.csv").read_text().splitlines()) - 1
-            if dump:
+            if command == "predict":
                 assert len(data.load_array(out / "predictions.npy")) == rows
         assert {name: (out / name).read_bytes() for name in before} == before
+
+    def test_library_call_rewrites_a_cli_run(self, tmp_path, capsys):
+        # emit_report alone writes a run directory, so a library caller
+        # leaves no file of an earlier CLI run behind either
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("mine", encoding="utf-8")
+        cfg = _tiny_config(methods=["gft-grid", "raw"], latent_dims=[4, 9])
+        assert cli.main(["reconstruct", "--config",
+                         self._write_config(tmp_path, cfg),
+                         "--out", str(out)]) == 0
+        assert "recon_mse.svg" in os.listdir(out)
+        report = harness.run_prediction_experiment(
+            harness.config_from_dict(cfg))
+        paths = harness.emit_report(report, out)
+        assert list(paths) == ["json", "csv", "predictions", "plot"]
+        assert paths["plot"] == str(out / "pred_mse.svg")
+        assert sorted(os.listdir(out)) == sorted(
+            ["notes.txt", *(Path(path).name for path in paths.values())])
+        assert (out / "notes.txt").read_text(encoding="utf-8") == "mine"
 
     def test_predict_runs(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path, _tiny_config(
@@ -1172,7 +1207,7 @@ class TestCli:
         ("latent_dims", 4), ("seed", None), ("latent_dims", [4.7]),
         ("methods", "ae"), ("methods", 5), ("dataset", 3), ("ae_schedule", 3),
         ("ae_schedule", _schedule(epochs=None)), ("train_fraction", None),
-        ("dump_predictions", "no"), ("grad_clip", -1.0),  # an unknown key
+        ("warmup", 2.0), ("grad_clip", -1.0),  # grad_clip: an unknown key
         ("dataset", _crop_block(crop=6.9)), ("dataset", _crop_block(count=2.5)),
     ])
     def test_malformed_types_exit_nonzero(self, tmp_path, capsys, key, value):
@@ -1183,9 +1218,10 @@ class TestCli:
         assert err.startswith("error:") and key in err
         assert not (tmp_path / "out").exists()
 
-    def test_malformed_out_dir_exits_before_any_work(self, tmp_path, capsys,
-                                                     monkeypatch):
-        # no --out, so the config's out_dir would name the output directory
+    def test_unknown_key_exits_before_any_work(self, tmp_path, capsys,
+                                               monkeypatch):
+        # with no --out the default ./gtslatent-out would be created;
+        # an unknown key (out_dir is not a key) stops the run first
         monkeypatch.chdir(tmp_path)
         cfg_path = self._write_config(tmp_path, _tiny_config(out_dir=5))
         assert cli.main(["reconstruct", "--config", cfg_path]) == 1
@@ -1373,6 +1409,8 @@ class TestCliRejectsBeforeAnyWork:
         # a config written for gradient clipping fails instead of
         # silently training without it
         (_tiny_config(grad_clip=0.5), "grad_clip"),
+        # every prediction run keeps its scored samples: no switch
+        (_tiny_config(dump_predictions=True), "dump_predictions"),
     ])
     def test_unknown_keys(self, tmp_path, capsys, cfg, key):
         assert f"unknown key {key!r}" in self._main(tmp_path, capsys, cfg,
@@ -1418,7 +1456,6 @@ def test_cli_writes_no_file_in_the_locale_encoding(tmp_path):
     # an open() or write_text() without an encoding would depend on the
     # locale; with this guard such a call ends the run in an error
     cfg = _tiny_config(methods=["gft-grid", "ae", "raw"], latent_dims=[4, 9],
-                       dump_predictions=True,
                        codec_cache_dir=str(tmp_path / "cache"))
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")

@@ -84,7 +84,10 @@ class TestAdam:
         params = rng.standard_normal((7, 5))
         expect = params.copy()
         m, v = np.zeros_like(params), np.zeros_like(params)
-        for t in range(1, 201):
+        # from t = 356 on, 1 - 0.9**t rounds to exactly 1.0, the regime
+        # most steps of a long training run are in
+        assert 1.0 - 0.9 ** 355 < 1.0 and 1.0 - 0.9 ** 356 == 1.0
+        for t in range(1, 401):
             grad = rng.standard_normal(params.shape) * 10.0 ** rng.uniform(-6, 2)
             params = adam_step(state, params, grad, lr=1e-3,
                                weight_decay=weight_decay)
