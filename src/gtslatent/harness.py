@@ -21,7 +21,7 @@ or none reports exactly the same numbers.  Spectral bases are always
 recomputed.
 
 Where the work runs: this process builds and splits the dataset,
-computes each spectral method's full basis once, and does all
+eigendecomposes each spectral method's Laplacian once, and does all
 codec-cache reads.  The (method, m) cells - fit or truncate a codec,
 score it and, for prediction, train and score an FC-LSTM - then run in
 ``fork``-ed worker processes, one per CPU this process may use
@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ae, data, graphs, lstm, spectral
+from . import ae, data, graphs, linalg, lstm, spectral
 from .linalg import as_float as _as_float, as_int as _as_int
 from .optim import TrainSchedule
 from .rng import derive_seed
@@ -380,7 +380,7 @@ class _CellInputs:
     predict: bool
     train_set: data.SequenceDataset
     test_set: data.SequenceDataset
-    bases: dict      # spectral method -> its full basis (a LinearCodec)
+    bases: dict      # spectral method -> (eigenvalues, full LinearCodec)
     ae_cached: dict  # m -> the cached AE matrix, or None on a miss
     cache_files: dict  # m -> the AE's codec-cache entry; empty without one
 
@@ -410,8 +410,8 @@ def _fit_codec(inputs: _CellInputs,
             data.save_array(inputs.cache_files[m], codec.a)
         cell.ae_loss_history = [float(v) for v in history]
         return codec
-    full = inputs.bases[method]
-    cell.eig_gap, cell.eig_multiplicity = _eig_diagnostics(full.eigenvalues, m)
+    eigenvalues, full = inputs.bases[method]
+    cell.eig_gap, cell.eig_multiplicity = _eig_diagnostics(eigenvalues, m)
     return spectral.truncate(full, m)
 
 
@@ -528,9 +528,12 @@ def _run_experiment(config: ExperimentConfig, predict: bool) -> Report:
     cache_files = _cache_files(config, train_set.sequences)
     ae_cached = {m: _read_cache(path, (n, m))
                  for m, path in cache_files.items()}
-    bases = {method: spectral.compute_basis(
-                 _laplacian(config, method, train_set.frames(), frame_shape), n)
-             for method in config.methods if method not in ("ae", "raw")}
+    bases = {}
+    for method in config.methods:
+        if method not in ("ae", "raw"):
+            eigenvalues, eigenvectors = linalg.sym_eig(
+                _laplacian(config, method, train_set.frames(), frame_shape))
+            bases[method] = (eigenvalues, spectral.LinearCodec(eigenvectors))
     inputs = _CellInputs(config, predict, train_set, test_set, bases,
                          ae_cached, cache_files)
     cells = _run_cells(inputs, [(method, m) for method in config.methods

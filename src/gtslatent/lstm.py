@@ -281,9 +281,9 @@ def evaluate_prediction(cell: LstmCell, latent_sequences, raw_sequences,
 
     Rolls the cell over the latent test sequences with :func:`rollout`,
     decodes the predictions of the frames after the warm-up phase with
-    ``decode_fn`` (mapping a (k, m) stack to (k, n)), and returns the
-    mean over sequences of the MSE against the corresponding raw
-    frames, with the (S, T-warmup, n) decoded predictions it scored.
+    ``decode_fn`` (a (k, m) stack to (k, n), else ``ValueError``), and
+    returns the mean over sequences of the MSE against the raw frames,
+    with the (S, T-warmup, n) decoded predictions it scored.
     Pass an identity ``decode_fn`` for uncompressed inputs.
     """
     preds = rollout(cell, latent_sequences, warmup)
@@ -292,8 +292,11 @@ def evaluate_prediction(cell: LstmCell, latent_sequences, raw_sequences,
         raise ValueError("latent and raw sequence stacks must align")
     free = preds[:, warmup - 1:, :]          # predictions of frames W+1..T
     num_seq, num_eval, _ = free.shape
-    decoded = decode_fn(free.reshape(num_seq * num_eval, -1))
-    decoded = decoded.reshape(num_seq, num_eval, -1)
     targets = raw[:, warmup:, :]
+    decoded = decode_fn(free.reshape(num_seq * num_eval, -1))
+    expect = (num_seq * num_eval, raw.shape[2])
+    if decoded.shape != expect:
+        raise ValueError(f"decode_fn gave shape {decoded.shape}, not {expect}")
+    decoded = decoded.reshape(targets.shape)
     per_seq = np.mean((decoded - targets) ** 2, axis=(1, 2))
     return float(np.mean(per_seq)), decoded

@@ -57,8 +57,12 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
             f"shape mismatch: params {params.shape}, grad {grad.shape}, "
             f"state {state.m.shape}"
         )
-    if lr <= 0.0:
-        raise ValueError("learning rate must be positive")
+    if not 0.0 < lr < math.inf:
+        raise ValueError(f"learning rate must be positive and finite, got "
+                         f"{lr!r}")
+    if not 0.0 <= weight_decay < math.inf:
+        raise ValueError(f"weight decay must be nonnegative and finite, got "
+                         f"{weight_decay!r}")
 
     g = np.multiply(params, weight_decay, out=np.empty_like(params))
     g += grad                                 # g = grad + wd * params

@@ -13,8 +13,9 @@ Eigenvector signs are fixed by :func:`linalg.sym_eig` (the first
 peak-magnitude entry of each column is positive), so coefficients
 are reproducible across solvers.  Inside a degenerate eigenspace the
 basis is still the solver's choice, and a truncation ``m`` that splits
-such an eigenspace keeps an arbitrary part of it; the harness reports
-the spectral gap and multiplicity at each ``m`` to flag those cuts.
+such an eigenspace keeps an arbitrary part of it; the harness keeps
+each graph's eigenvalues and reports the gap and multiplicity at each
+``m`` to flag those cuts.
 """
 
 from __future__ import annotations
@@ -28,15 +29,9 @@ from . import linalg
 
 @dataclass(frozen=True)
 class LinearCodec:
-    """Encode/decode matrix ``a`` of shape (n, m), 1 <= m <= n.
-
-    ``eigenvalues`` (ascending, length m) is set only for a graph
-    Fourier basis, whose columns are the matching Laplacian
-    eigenvectors.
-    """
+    """Encode/decode matrix ``a`` of shape (n, m), 1 <= m <= n."""
 
     a: np.ndarray
-    eigenvalues: np.ndarray | None = None
 
     def __post_init__(self):
         a = linalg.as_array(self.a, 2, "codec matrix")
@@ -44,13 +39,6 @@ class LinearCodec:
         if not 1 <= m <= n:
             raise ValueError(f"m={m} out of range [1, {n}]")
         object.__setattr__(self, "a", a)
-        if self.eigenvalues is not None:
-            ev = linalg.as_array(self.eigenvalues, 1, "eigenvalues")
-            if ev.shape != (m,):
-                raise ValueError("eigenvalues length does not match m")
-            if np.any(np.diff(ev) < -1e-10):
-                raise ValueError("eigenvalues must be ascending")
-            object.__setattr__(self, "eigenvalues", ev)
 
     @property
     def n(self) -> int:
@@ -62,9 +50,9 @@ class LinearCodec:
 
 
 def compute_basis(lap, m: int) -> LinearCodec:
-    """Eigendecompose a Laplacian and keep the m lowest-eigenvalue columns."""
-    eigenvalues, eigenvectors = linalg.sym_eig(lap)
-    return truncate(LinearCodec(eigenvectors, eigenvalues), m)
+    """A Laplacian's m lowest-frequency eigenvectors; no eigenvalues."""
+    _, eigenvectors = linalg.sym_eig(lap)
+    return truncate(LinearCodec(eigenvectors), m)
 
 
 def truncate(codec: LinearCodec, m: int) -> LinearCodec:
@@ -80,9 +68,7 @@ def truncate(codec: LinearCodec, m: int) -> LinearCodec:
         return codec
     # copies, not column views: a strided matrix may take another BLAS
     # path in the products below and round differently
-    return LinearCodec(codec.a[:, :m].copy(),
-                       None if codec.eigenvalues is None
-                       else codec.eigenvalues[:m].copy())
+    return LinearCodec(codec.a[:, :m].copy())
 
 
 def encode_frames(codec: LinearCodec, frames) -> np.ndarray:

@@ -671,6 +671,41 @@ class TestEigDiagnostics:
             assert a.eig_multiplicity == b.eig_multiplicity
         assert "eig" not in (tmp_path / "report.csv").read_text()
 
+    @pytest.mark.parametrize("keep_fraction", [0.3, 0.01])
+    def test_geo_and_corr_match_an_independent_eigensolve(self, monkeypatch,
+                                                           keep_fraction):
+        # at keep_fraction 0.01 the correlation graph keeps 7 of its 630
+        # pairs, so its Laplacian has a null space of many components and
+        # the gft-corr cuts at m = 2, 4 and 9 fall inside it, as on series
+        config = harness.config_from_dict(_tiny_config(
+            methods=["gft-geo", "gft-corr"], latent_dims=[2, 4, 9, 18, 36],
+            keep_fraction=keep_fraction))
+        seen = {}
+        real = harness._laplacian
+
+        def recorded(config, method, train_frames, frame_shape):
+            seen[method] = (train_frames.copy(), frame_shape)
+            return real(config, method, train_frames, frame_shape)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(harness, "_laplacian", recorded)
+            report = harness.run_reconstruction_experiment(config)
+        assert sorted(seen) == ["gft-corr", "gft-geo"]
+        lam = {method: np.linalg.eigvalsh(real(config, method, *args))
+               for method, args in seen.items()}
+        for cell in report.cells:
+            ev, m = lam[cell.method], cell.m
+            tol = 1e-9 * max(1.0, ev[-1])
+            if m == len(ev):
+                assert cell.eig_gap is None
+            else:
+                assert abs(cell.eig_gap - (ev[m] - ev[m - 1])) <= tol
+            assert cell.eig_multiplicity == np.sum(np.abs(ev - ev[m - 1])
+                                                   <= tol)
+        cells = {(c.method, c.m): c for c in report.cells}
+        assert (cells["gft-corr", 9].eig_multiplicity > 9) == (
+            keep_fraction == 0.01)
+
     def test_reports_without_diagnostics_still_load(self):
         config = harness.config_from_dict(_tiny_config(methods=["gft-grid"],
                                                        latent_dims=[4]))

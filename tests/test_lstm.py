@@ -601,6 +601,17 @@ class TestEvaluate:
             lstm.evaluate_prediction(cell, np.zeros((2, 5, 2)),
                                      np.zeros((10, 4)), 2, lambda z: z)
 
+    @pytest.mark.parametrize("decode_fn", [
+        lambda z: z[:, :1],                      # broadcast if unchecked
+        lambda z: np.tile(z, 3)[:, :5].ravel(),  # reshaped if unchecked
+    ], ids=["narrow", "flat"])
+    def test_decoded_shape_must_match_raw_frames(self, decode_fn):
+        cell = lstm.init_cell(2, seed=37)
+        z = Rng(38).uniform_matrix(2 * 6, 2, -1, 1).reshape(2, 6, 2)
+        raw = Rng(39).uniform_matrix(2 * 6, 5, -1, 1).reshape(2, 6, 5)
+        with pytest.raises(ValueError, match=r"not \(8, 5\)"):
+            lstm.evaluate_prediction(cell, z, raw, 2, decode_fn)
+
     def test_rejects_non_finite_raw_frames(self):
         # a NaN target frame would otherwise score as a silent nan MSE
         cell = lstm.init_cell(2, seed=32)

@@ -85,16 +85,22 @@ def test_compute_basis_full(lap):
 
 def test_full_basis(frames):
     # measured 3.03: the Laplacian (its graph already freed) and
-    # sym_eig's two matrices; was 4.03 with the graph alive throughout
+    # sym_eig's two matrices; was 4.03 with the graph alive throughout.
+    # The harness's own path: sym_eig of the Laplacian, the eigenvectors
+    # kept as the full codec beside the eigenvalues
     config = harness.config_from_dict({
         "dataset": {"type": "moving_crop", "crop": SIDE},
         "methods": ["gft-geo"], "latent_dims": [4], "train_fraction": 0.7,
         "warmup": 2, "seed": 1})
-    codec, peak = _traced_peak(
-        lambda: spectral.compute_basis(
-            harness._laplacian(config, "gft-geo", frames, (SIDE, SIDE)), N))
+
+    def full_basis():
+        eigenvalues, eigenvectors = linalg.sym_eig(
+            harness._laplacian(config, "gft-geo", frames, (SIDE, SIDE)))
+        return eigenvalues, spectral.LinearCodec(eigenvectors)
+
+    (eigenvalues, codec), peak = _traced_peak(full_basis)
     assert peak <= 3.1
-    assert codec.m == N
+    assert codec.m == N and eigenvalues.shape == (N,)
 
 
 def test_load_stl10(tmp_path):

@@ -77,6 +77,19 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(state, np.zeros(2), np.zeros(2), lr=0.0)
 
+    @pytest.mark.parametrize("lr, weight_decay, message", [
+        (np.nan, 0.0, "learning rate"), (np.inf, 0.0, "learning rate"),
+        (0.1, np.nan, "weight decay"), (0.1, np.inf, "weight decay"),
+        (0.1, -1e-3, "weight decay"),
+    ])
+    def test_rates_must_be_finite(self, lr, weight_decay, message):
+        # a nan rate would otherwise return all-nan parameters silently
+        state = adam_init((2,))
+        with pytest.raises(ValueError, match=message):
+            adam_step(state, np.ones(2), np.ones(2), lr=lr,
+                      weight_decay=weight_decay)
+        assert state.t == 0 and not state.m.any() and not state.v.any()
+
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
     def test_matches_textbook_formula_bitwise(self, weight_decay):
         rng = np.random.default_rng(5)
