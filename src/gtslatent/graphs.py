@@ -52,10 +52,6 @@ class Graph:
         object.__setattr__(self, "weights", w)
 
     @property
-    def n(self) -> int:
-        return self.weights.shape[0]
-
-    @property
     def degrees(self) -> np.ndarray:
         return self.weights.sum(axis=1)
 

@@ -478,14 +478,6 @@ def report_to_dict(report: Report) -> dict:
     return d
 
 
-def report_from_dict(d: dict) -> Report:
-    """A Report from its JSON; keys older reports lack take defaults."""
-    cells = [ReportCell(**{key: c[key] for key in _CELL_KEYS if key in c})
-             for c in d["cells"]]
-    return Report(**{f.name: d[f.name] for f in dataclasses.fields(Report)
-                     if f.name != "cells"}, cells=cells)
-
-
 def _dims_for(config: ExperimentConfig, method: str, n: int) -> list:
     # raw is the uncompressed baseline: always a single cell at m = n
     return [n] if method == "raw" else list(config.latent_dims)
@@ -679,9 +671,10 @@ def _run_cells(inputs: _CellInputs, cells: list) -> list:
 def emit_report(report: Report, out_dir) -> dict:
     """Write ``report`` as a run directory; return the paths written.
 
-    Each call writes or removes every one of a run directory's five
-    names, so no file of an earlier run outlives its report, and
-    touches no other file:
+    Each call first removes all five names of a run directory, then
+    writes its own files, ``report.json`` last, and touches no other
+    file.  So a failed write of any other file leaves no file of an
+    earlier run and no ``report.json``.  The names:
 
     * ``report.json``: the whole report (:func:`report_to_dict`);
     * ``report.csv``: one ``method,m,recon_mse,pred_mse`` row per cell,
@@ -690,8 +683,7 @@ def emit_report(report: Report, out_dir) -> dict:
     * ``predictions.npy``, for a prediction report only: row i, of
       shape (T - warmup, n), is cell i's scored first test sequence;
     * ``recon_mse.svg`` or ``pred_mse.svg``: the report kind's MSE
-      against m, one curve per method with two or more m, if any.  The
-      other kind's name is always removed.
+      against m, one curve per method with two or more m, if any.
 
     The dict maps ``json``, ``csv``, ``predictions`` and ``plot``, in
     that order, to the files written.
@@ -699,14 +691,16 @@ def emit_report(report: Report, out_dir) -> dict:
     predict = report.kind == "prediction"
     samples = [cell.sample_prediction for cell in report.cells]
     if predict and any(sample is None for sample in samples):
-        # e.g. a report read back from JSON, which holds no samples
+        # e.g. one built from a report.json, which holds no samples; the
+        # check comes first, so a rejected report touches nothing
         raise ValueError("a prediction report needs every cell's "
                          "sample_prediction")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name in ("report.json", "report.csv", "predictions.npy",
+                 "recon_mse.svg", "pred_mse.svg"):
+        (out / name).unlink(missing_ok=True)
     paths = {"json": out / "report.json", "csv": out / "report.csv"}
-    paths["json"].write_text(
-        json.dumps(report_to_dict(report), indent=2) + "\n", encoding="utf-8")
     lines = ["method,m,recon_mse,pred_mse"]
     for cell in report.cells:
         pred = "" if cell.pred_mse is None else repr(float(cell.pred_mse))
@@ -721,9 +715,8 @@ def emit_report(report: Report, out_dir) -> dict:
     if curves:
         paths["plot"] = out / f"{value}.svg"
         emit_plot(curves, paths["plot"], ylabel=value.replace("_", " "))
-    for name in ("predictions.npy", "recon_mse.svg", "pred_mse.svg"):
-        if out / name not in paths.values():  # an earlier run's file
-            (out / name).unlink(missing_ok=True)
+    paths["json"].write_text(
+        json.dumps(report_to_dict(report), indent=2) + "\n", encoding="utf-8")
     return {label: str(path) for label, path in paths.items()}
 
 

@@ -49,12 +49,6 @@ class LinearCodec:
         return self.a.shape[1]
 
 
-def compute_basis(lap, m: int) -> LinearCodec:
-    """A Laplacian's m lowest-frequency eigenvectors; no eigenvalues."""
-    _, eigenvectors = linalg.sym_eig(lap)
-    return truncate(LinearCodec(eigenvectors), m)
-
-
 def truncate(codec: LinearCodec, m: int) -> LinearCodec:
     """Keep a codec's first m columns: a basis's m lowest frequencies.
 

@@ -34,6 +34,11 @@ def _path_laplacian(n):
     return np.diag(w.sum(axis=1)) - w
 
 
+def _basis(lap, m):
+    """The harness's graph basis: sym_eig, LinearCodec, then truncate."""
+    return spectral.truncate(spectral.LinearCodec(linalg.sym_eig(lap)[1]), m)
+
+
 def _desk_config(seed, kind):
     """Criterion 5/6 setup: 70 moving-crop sequences of 10 frames from
     32x32 textured sources with 16x16 crops -> 500 train / 200 test
@@ -60,7 +65,7 @@ def _desk_config(seed, kind):
 def test_criterion_1_exact_basis_reconstruction():
     start = time.perf_counter()
     lap = graphs.laplacian(graphs.grid_graph(8, 8))
-    basis = spectral.compute_basis(lap, 64)
+    basis = _basis(lap, 64)
     signals = Rng(101).uniform_matrix(100, 64, -1.0, 1.0)
     err = spectral.reconstruction_mse(basis, signals)
     elapsed = time.perf_counter() - start
@@ -180,23 +185,23 @@ def test_criterion_4_monotone_reconstruction_in_m():
     frames = crops.frames()
     n = 100
     grid_lap = graphs.laplacian(graphs.grid_graph(10, 10))
-    check("crop/gft-grid", spectral.compute_basis(grid_lap, n), frames,
+    check("crop/gft-grid", _basis(grid_lap, n), frames,
           [5, 12, 25, 50, 75, 100])
     geo_lap = graphs.laplacian(graphs.semi_geometric_graph(frames, 10, 10))
-    check("crop/gft-geo", spectral.compute_basis(geo_lap, n), frames,
+    check("crop/gft-geo", _basis(geo_lap, n), frames,
           [5, 12, 25, 50, 75, 100])
 
     # bouncing-sprite frames, grid graph
     sprites = data.generate_moving_sprite_dataset(10, 4, 8, 25, seed=403)
     sprite_frames = sprites.frames()
     sprite_lap = graphs.laplacian(graphs.grid_graph(10, 10))
-    check("sprite/gft-grid", spectral.compute_basis(sprite_lap, 100),
+    check("sprite/gft-grid", _basis(sprite_lap, 100),
           sprite_frames, [4, 10, 40, 70, 100])
 
     # plain multivariate series, correlation graph
     series = Rng(404).uniform_matrix(80, 40, -1.0, 1.0)
     corr_lap = graphs.laplacian(graphs.correlation_graph(series, 0.2))
-    check("series/gft-corr", spectral.compute_basis(corr_lap, 40), series,
+    check("series/gft-corr", _basis(corr_lap, 40), series,
           [4, 10, 20, 30, 40])
 
     ok = not violations

@@ -8,7 +8,7 @@ from gtslatent.rng import Rng
 class TestGridGraph:
     def test_single_node(self):
         g = graphs.grid_graph(1, 1)
-        assert g.n == 1
+        assert g.weights.shape == (1, 1)
         assert g.edge_count() == 0
 
     def test_2x2(self):
@@ -117,6 +117,11 @@ class TestCorrelationGraph:
         with pytest.raises(ValueError, match="node 2"):
             graphs.correlation_graph(series)
 
+    def test_one_node_has_no_edges(self):
+        g = graphs.correlation_graph(Rng(8).uniform_matrix(5, 1, -1.0, 1.0))
+        assert g.weights.tobytes() == np.zeros((1, 1)).tobytes()
+        assert graphs.laplacian(g).tobytes() == np.zeros((1, 1)).tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             graphs.correlation_graph(np.ones((1, 3)))
@@ -158,13 +163,10 @@ class TestLaplacian:
             lap = graphs.laplacian(g)
             vals, _ = linalg.sym_eig(lap)
             assert vals.min() >= -1e-10
-            assert np.max(np.abs(lap @ np.ones(g.n))) < 1e-10
+            assert np.max(np.abs(lap @ np.ones(len(g.weights)))) < 1e-10
 
 
 class TestGraphValidation:
-    def test_n_is_the_size_of_the_weights(self):
-        assert graphs.Graph(np.zeros((3, 3))).n == 3
-
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             graphs.Graph(np.zeros((2, 3)))

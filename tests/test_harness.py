@@ -76,6 +76,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             harness.config_from_dict(_tiny_config(train_fraction=1.0))
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("methods", [], "config needs at least one method"),
+        ("latent_dims", [4, 0], "latent dimension 0 must be a positive int"),
+        ("warmup", 0, "warmup must be at least 1"),
+    ])
+    def test_out_of_range_values_rejected(self, key, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            harness.config_from_dict(_tiny_config(**{key: value}))
+
     def test_bad_latent_scale(self):
         # latents are always scaled: "auto" may be spelt out, and nothing
         # else, null included, is an option
@@ -346,6 +355,25 @@ class TestCompatibility:
             harness.config_from_dict(cfg))
         assert all(np.isfinite(c.recon_mse) for c in report.cells)
 
+    def test_one_column_series_runs_at_m_1(self, tmp_path):
+        # one node: the correlation graph has no pair to keep, so its
+        # Laplacian is [[0]] and the m=1 basis is exact
+        path = tmp_path / "series.csv"
+        data.save_csv_series(path, np.random.RandomState(2).rand(60, 1))
+        config = harness.config_from_dict(_tiny_config(
+            dataset={"type": "csv", "path": str(path), "frames": 6},
+            methods=["gft-corr", "ae", "raw"], latent_dims=[1]))
+        recon = harness.run_reconstruction_experiment(config)
+        pred = harness.run_prediction_experiment(config)
+        for report in (recon, pred):
+            assert [(c.method, c.m) for c in report.cells] == [
+                ("gft-corr", 1), ("ae", 1), ("raw", 1)]
+            corr = report.cells[0]
+            assert corr.recon_mse == 0.0
+            assert (corr.eig_gap, corr.eig_multiplicity) == (None, 1)
+            assert all(np.isfinite(c.recon_mse) for c in report.cells)
+        assert all(np.isfinite(c.pred_mse) for c in pred.cells)
+
     def test_latent_dim_exceeding_n(self):
         cfg = _tiny_config(latent_dims=[37])
         with pytest.raises(ValueError, match="exceeds"):
@@ -354,6 +382,12 @@ class TestCompatibility:
     def test_warmup_too_large_for_sequences(self):
         cfg = _tiny_config(warmup=6)
         with pytest.raises(ValueError, match="warmup"):
+            harness.run_prediction_experiment(harness.config_from_dict(cfg))
+
+    def test_prediction_needs_two_frames(self):
+        cfg = _tiny_config(dataset=_crop_block(frames=1), warmup=1)
+        with pytest.raises(ValueError, match="^prediction needs sequences "
+                                             "of at least 2 frames$"):
             harness.run_prediction_experiment(harness.config_from_dict(cfg))
 
     @pytest.mark.parametrize("key, value, runner, message", [
@@ -401,7 +435,8 @@ class TestReconstructionExperiment:
             harness._stream(config.seed, harness._STREAM_SPLIT))
         lap = graphs.laplacian(
             graphs.semi_geometric_graph(train.frames(), 6, 6))
-        basis = spectral.compute_basis(lap, 5)
+        basis = spectral.truncate(
+            spectral.LinearCodec(linalg.sym_eig(lap)[1]), 5)
         direct = spectral.reconstruction_mse(basis, test.frames())
         assert abs(report.cells[0].recon_mse - direct) < 1e-12
 
@@ -665,10 +700,9 @@ class TestEigDiagnostics:
         assert cells["ae", 4].eig_multiplicity is None
         harness.emit_report(report, tmp_path)
         raw = json.loads((tmp_path / "report.json").read_text())
-        loaded = harness.report_from_dict(raw)
-        for a, b in zip(loaded.cells, report.cells):
-            assert a.eig_gap == b.eig_gap
-            assert a.eig_multiplicity == b.eig_multiplicity
+        for a, b in zip(raw["cells"], report.cells):
+            assert a["eig_gap"] == b.eig_gap
+            assert a["eig_multiplicity"] == b.eig_multiplicity
         assert "eig" not in (tmp_path / "report.csv").read_text()
 
     @pytest.mark.parametrize("keep_fraction", [0.3, 0.01])
@@ -706,16 +740,6 @@ class TestEigDiagnostics:
         assert (cells["gft-corr", 9].eig_multiplicity > 9) == (
             keep_fraction == 0.01)
 
-    def test_reports_without_diagnostics_still_load(self):
-        config = harness.config_from_dict(_tiny_config(methods=["gft-grid"],
-                                                       latent_dims=[4]))
-        d = harness.report_to_dict(harness.run_reconstruction_experiment(config))
-        for cell in d["cells"]:
-            del cell["eig_gap"], cell["eig_multiplicity"]
-        loaded = harness.report_from_dict(d)
-        assert loaded.cells[0].eig_gap is None
-        assert loaded.cells[0].eig_multiplicity is None
-
 
 def _run_on_cpus(monkeypatch, cpus, runner, config, out_dir):
     """One experiment on ``cpus`` CPUs.
@@ -746,6 +770,30 @@ def _run_on_cpus(monkeypatch, cpus, runner, config, out_dir):
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="cells run in-process without fork")
 class TestCellWorkers:
+    def test_without_affinity_one_worker_per_counted_cpu(self, monkeypatch):
+        made = []
+
+        def executor(workers, **kwargs):
+            made.append(workers)
+            return "pool"
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            executor)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert harness._fork_pool(None, 2) == "pool"
+        assert made == [2]  # capped at the number of cells
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one
+        assert harness._fork_pool(None, 2) is None
+        assert made == [2]
+
+    def test_without_fork_cells_run_here(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        assert harness._fork_pool(None, 2) is None
+
     def test_reconstruction_same_in_workers_and_in_process(self, tmp_path,
                                                            monkeypatch):
         config = harness.config_from_dict(_tiny_config(
@@ -902,14 +950,14 @@ class TestEmitReport:
         lines = (tmp_path / "report.csv").read_text().strip().split("\n")
         assert lines[0] == "method,m,recon_mse,pred_mse"
         assert len(lines) == 1 + 3 * 2 + 1  # header + 3 methods x 2 dims + raw
-        loaded = harness.report_from_dict(
-            json.loads((tmp_path / "report.json").read_text()))
-        assert loaded.kind == report.kind
-        assert loaded.seed == report.seed
-        assert loaded.config_hash == report.config_hash
-        for a, b in zip(loaded.cells, report.cells):
-            assert a.method == b.method and a.m == b.m
-            assert a.recon_mse == b.recon_mse and a.pred_mse == b.pred_mse
+        loaded = json.loads((tmp_path / "report.json").read_text())
+        assert loaded["kind"] == report.kind
+        assert loaded["seed"] == report.seed
+        assert loaded["config_hash"] == report.config_hash
+        for a, b in zip(loaded["cells"], report.cells):
+            assert a["method"] == b.method and a["m"] == b.m
+            assert (a["recon_mse"] == b.recon_mse
+                    and a["pred_mse"] == b.pred_mse)
 
     def test_predictions_row_i_is_cell_i(self, tmp_path):
         config = harness.config_from_dict(_tiny_config(
@@ -927,18 +975,39 @@ class TestEmitReport:
 
     def test_prediction_report_without_samples_writes_nothing(self,
                                                               tmp_path):
-        # a report read back from JSON has no samples, so it cannot
-        # rewrite a run directory's predictions.npy
+        # a report rebuilt from its report.json has no samples, so it
+        # cannot rewrite a run directory's predictions.npy
         config = harness.config_from_dict(_tiny_config(
             methods=["gft-grid"], latent_dims=[4]))
         report = harness.run_prediction_experiment(config)
         harness.emit_report(report, tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        loaded = harness.report_from_dict(harness.report_to_dict(report))
+        d = json.loads((tmp_path / "report.json").read_text())
+        loaded = harness.Report(**{**d, "cells": [harness.ReportCell(**c)
+                                                  for c in d["cells"]]})
         with pytest.raises(ValueError, match="^a prediction report needs "
                                              "every cell's sample_prediction$"):
             harness.emit_report(loaded, tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_failed_write_leaves_no_earlier_run(self, tmp_path, monkeypatch):
+        config = harness.config_from_dict(_tiny_config(
+            methods=["gft-grid"], latent_dims=[4, 9]))
+        run_a = harness.run_prediction_experiment(config)
+        harness.emit_report(run_a, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "pred_mse.svg", "predictions.npy", "report.csv", "report.json"]
+        run_b = dataclasses.replace(run_a, cells=run_a.cells[:1])
+
+        def full_disk(path, array):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(data, "save_array", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            harness.emit_report(run_b, tmp_path)
+        # run B's table, written before the dump; nothing of run A
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+        assert len((tmp_path / "report.csv").read_text().splitlines()) == 2
 
 
 class TestReportJson:
@@ -954,9 +1023,22 @@ class TestReportJson:
                               1.5, cells)
 
     def test_round_trip_equals_original(self):
-        report = self._report()
-        text = json.dumps(harness.report_to_dict(report), indent=2)
-        assert harness.report_from_dict(json.loads(text)) == report
+        d = harness.report_to_dict(self._report())
+        expected = {
+            "kind": "prediction", "seed": 11, "config": _tiny_config(),
+            "config_hash": "ab" * 32, "wall_time_s": 1.5,
+            "cells": [
+                {"method": "gft-grid", "m": 4, "recon_mse": 0.25,
+                 "pred_mse": 0.5, "ae_loss_history": None,
+                 "lstm_loss_history": [0.75, 0.5], "eig_gap": 0.125,
+                 "eig_multiplicity": 2},
+                {"method": "ae", "m": 9, "recon_mse": 1e-3,
+                 "pred_mse": None, "ae_loss_history": [2.0, 1.0],
+                 "lstm_loss_history": None, "eig_gap": None,
+                 "eig_multiplicity": None},
+            ]}
+        assert d == expected
+        assert json.loads(json.dumps(d, indent=2)) == expected
 
     def test_key_order_and_no_sample_prediction(self):
         report = self._report()
@@ -993,6 +1075,23 @@ class TestEmitPlot:
                 px, py = map(float, token.split(","))
                 assert x0 - 0.5 <= px <= x1 + 0.5
                 assert y0 - 0.5 <= py <= y1 + 0.5
+
+    @pytest.mark.parametrize("points, x_ticks, y_ticks", [
+        ([(4, 0.5), (4, 0.25)], ["4", "5"], ["0.25", "0.5"]),  # one m
+        ([(1, 0.5), (2, 0.5)], ["1", "2"], ["0.5", "1"]),      # one value
+        ([(1, -0.5), (2, -0.5)], ["1", "2"], ["-0.5", "0"]),
+        ([(1, 0.0), (2, 0.0)], ["1", "2"], ["0", "1"]),
+    ])
+    def test_flat_axis_gets_a_non_empty_range(self, tmp_path, points,
+                                              x_ticks, y_ticks):
+        # a flat axis spans [v, v + |v|], or [v, v + 1] at v = 0 or for m
+        path = tmp_path / "plot.svg"
+        harness.emit_plot({"a": points}, path)
+        root = ET.fromstring(path.read_text())
+        ns = {"svg": "http://www.w3.org/2000/svg"}
+        ticks = [t.text for t in root.findall(".//svg:text[@font-size='11']",
+                                              ns)]
+        assert ticks == x_ticks + y_ticks
 
     def test_label_escaping_bytes_equal_saxutils(self, tmp_path):
         # the labels of a plot with markup characters are escaped exactly

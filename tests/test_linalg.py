@@ -137,6 +137,8 @@ class TestSymEig:
             linalg.sym_eig([[0.0, 1.0], [0.0, 0.0]])
 
     def test_zero_and_single(self):
+        vals, vecs = linalg.sym_eig(np.zeros((0, 0)))
+        assert vals.shape == (0,) and vecs.shape == (0, 0)
         vals, vecs = linalg.sym_eig(np.zeros((4, 4)))
         assert np.array_equal(vals, np.zeros(4))
         assert np.array_equal(vecs, np.eye(4))
