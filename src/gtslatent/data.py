@@ -12,8 +12,9 @@ image files.
 
 Every array the package writes (dataset files, prediction dumps, codec
 cache entries) is a float64 ``.npy`` file, numpy's own format (NEP 1),
-written atomically by :func:`save_array` and read back bit for bit by
-:func:`load_array`.
+written by :func:`save_array` and read back bit for bit by
+:func:`load_array`.  Every file the package writes, arrays or text,
+goes through :func:`whole_file`, so it lands whole or not at all.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import array
 import csv
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -313,8 +315,9 @@ def save_csv_series(path, series) -> None:
     as :func:`load_csv_series` reads it.
     """
     s = linalg.as_array(series, 2, "series")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in s)
+    with whole_file(path) as fh:
+        fh.writelines((",".join(map(repr, row.tolist())) + "\r\n").encode()
+                      for row in s)
 
 
 def sequences_from_series(series, frames_per_sequence: int) -> SequenceDataset:
@@ -337,22 +340,35 @@ def sequences_from_series(series, frames_per_sequence: int) -> SequenceDataset:
     return SequenceDataset(used.reshape(count, frames_per_sequence, s.shape[1]))
 
 
-def save_array(path, values: np.ndarray) -> None:
-    """Write ``values`` as a ``.npy`` file (NEP 1), atomically.
+@contextmanager
+def whole_file(path):
+    """Open ``path`` for a binary write that lands whole or not at all.
 
-    The bytes go to a temp file beside ``path`` that is then renamed
-    over it, so an interrupted write never leaves a partial file under
-    ``path``.  A C-contiguous array is written from its own buffer.
+    The package's one way to put bytes on disk: they go to
+    ``<name>.<pid>.tmp`` beside ``path``, renamed over it once the block
+    exits and the file is closed.  If anything raises, the temp file is
+    removed and ``path`` keeps its earlier bytes (or stays absent); only
+    a killed process leaves the temp file.  No fsync: a power loss may
+    still lose the file.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:  # a path would gain a .npy suffix
-            np.save(fh, values, allow_pickle=False)
+        with open(tmp, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_array(path, values: np.ndarray) -> None:
+    """Write ``values`` as a ``.npy`` file (NEP 1) with :func:`whole_file`.
+
+    A C-contiguous array is written from its own buffer.
+    """
+    with whole_file(path) as fh:  # a path would gain a .npy suffix
+        np.save(fh, values, allow_pickle=False)
 
 
 def load_array(path) -> np.ndarray:

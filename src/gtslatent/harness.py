@@ -672,9 +672,9 @@ def emit_report(report: Report, out_dir) -> dict:
     """Write ``report`` as a run directory; return the paths written.
 
     Each call first removes all five names of a run directory, then
-    writes its own files, ``report.json`` last, and touches no other
-    file.  So a failed write of any other file leaves no file of an
-    earlier run and no ``report.json``.  The names:
+    writes its own files whole (:func:`data.whole_file`), ``report.json``
+    last, and touches no other file.  So a failed write leaves no file
+    of an earlier run, no partial file and no ``report.json``.  The names:
 
     * ``report.json``: the whole report (:func:`report_to_dict`);
     * ``report.csv``: one ``method,m,recon_mse,pred_mse`` row per cell,
@@ -691,8 +691,8 @@ def emit_report(report: Report, out_dir) -> dict:
     predict = report.kind == "prediction"
     samples = [cell.sample_prediction for cell in report.cells]
     if predict and any(sample is None for sample in samples):
-        # e.g. one built from a report.json, which holds no samples; the
-        # check comes first, so a rejected report touches nothing
+        # only a hand-built Report can lack them; the check comes
+        # first, so a rejected report touches nothing
         raise ValueError("a prediction report needs every cell's "
                          "sample_prediction")
     out = Path(out_dir)
@@ -706,7 +706,8 @@ def emit_report(report: Report, out_dir) -> dict:
         pred = "" if cell.pred_mse is None else repr(float(cell.pred_mse))
         lines.append(f"{cell.method},{cell.m},"
                      f"{repr(float(cell.recon_mse))},{pred}")
-    paths["csv"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with data.whole_file(paths["csv"]) as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
     if predict:
         paths["predictions"] = out / "predictions.npy"
         data.save_array(paths["predictions"], np.stack(samples))
@@ -715,8 +716,8 @@ def emit_report(report: Report, out_dir) -> dict:
     if curves:
         paths["plot"] = out / f"{value}.svg"
         emit_plot(curves, paths["plot"], ylabel=value.replace("_", " "))
-    paths["json"].write_text(
-        json.dumps(report_to_dict(report), indent=2) + "\n", encoding="utf-8")
+    with data.whole_file(paths["json"]) as fh:
+        fh.write((json.dumps(report_to_dict(report), indent=2) + "\n").encode())
     return {label: str(path) for label, path in paths.items()}
 
 
@@ -799,7 +800,8 @@ def emit_plot(curves: dict, path, ylabel: str = "MSE") -> None:
         parts.append(f'<text x="{lx + 28}" y="{ly}" font-size="12">'
                      f'{_escape(str(name))}</text>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    with data.whole_file(path) as fh:
+        fh.write(("\n".join(parts) + "\n").encode())
 
 
 def _plot_curves(report: Report, value: str) -> dict:
