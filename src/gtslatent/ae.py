@@ -28,24 +28,15 @@ def init_codec(n: int, m: int, seed: int) -> LinearCodec:
     return LinearCodec(Rng(seed).uniform_matrix(n, m, -bound, bound))
 
 
-def loss_and_grad(codec: LinearCodec, batch) -> tuple[float, np.ndarray]:
-    """Reconstruction loss and its analytic gradient on a frame batch.
+def _loss_and_grad(a: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Reconstruction loss and its analytic gradient on a (B, n) batch.
 
     For a batch X of B rows, the loss is ``mean((X A A^T - X)^2)`` over
     all B*n entries.  With the per-sample residual r = A A^T x - x the
     gradient is ``(2 / (B n)) * sum_b (r x^T A + x r^T A)``, evaluated
-    here in batched form.
+    here in batched form.  Unchecked: :func:`train` validates the frames
+    once.
     """
-    x = linalg.as_array(np.atleast_2d(batch), 2, "batch")
-    if x.size == 0:
-        raise ValueError("batch must be non-empty")
-    if x.shape[1] != codec.n:
-        raise ValueError(f"frame length {x.shape[1]} != n={codec.n}")
-    return _loss_and_grad(codec.a, x)
-
-
-def _loss_and_grad(a: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Unchecked kernel of :func:`loss_and_grad` for a validated (B, n) batch."""
     b, n = x.shape
     z = x @ a                 # (B, m) latents
     r = z @ a.T               # (B, n) residuals

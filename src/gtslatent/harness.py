@@ -385,9 +385,8 @@ class _CellInputs:
     cache_files: dict  # m -> the AE's codec-cache entry; empty without one
 
 
-def _fit_codec(inputs: _CellInputs,
-               cell: ReportCell) -> spectral.LinearCodec | None:
-    """The codec of one cell; None for ``raw``, whose latents are the frames.
+def _fit_codec(inputs: _CellInputs, cell: ReportCell) -> spectral.LinearCodec:
+    """The codec of one cell; the identity for ``raw``.
 
     An AE trained here goes to its codec-cache entry, if the config has
     one, as soon as training ends, so no later failure discards it.  Its
@@ -395,13 +394,13 @@ def _fit_codec(inputs: _CellInputs,
     """
     config = inputs.config
     method, m = cell.method, cell.m
+    n = inputs.train_set.frame_dim
     if method == "raw":
-        return None
+        return spectral.LinearCodec(np.eye(n))
     if method == "ae":
         a = inputs.ae_cached.get(m)
         if a is not None:
             return spectral.LinearCodec(a)
-        n = inputs.train_set.frame_dim
         codec0 = ae.init_codec(n, m, _stream(config.seed, _STREAM_AE_INIT, m))
         codec, history = ae.train(codec0, inputs.train_set.frames(),
                                   config.ae_schedule,
@@ -543,40 +542,33 @@ def _run_cell(inputs: _CellInputs, method: str, m: int) -> ReportCell:
     cell's own seeded streams, so the result does not depend on where
     or in which order the cells run.
     """
-    cell = ReportCell(method=method, m=m, recon_mse=0.0)  # raw is exact
+    cell = ReportCell(method=method, m=m, recon_mse=0.0)
     codec = _fit_codec(inputs, cell)
-    if codec is not None:
-        cell.recon_mse = spectral.reconstruction_mse(codec,
-                                                     inputs.test_set.frames())
+    cell.recon_mse = spectral.reconstruction_mse(codec, inputs.test_set.frames())
     if inputs.predict:
         _predict(inputs, codec, cell)
     return cell
 
 
-def _predict(inputs: _CellInputs, codec: spectral.LinearCodec | None,
+def _predict(inputs: _CellInputs, codec: spectral.LinearCodec,
              cell: ReportCell) -> None:
-    """Set ``cell``'s pred MSE, LSTM loss history and decoded sample.
-
-    A ``None`` codec (``raw``) feeds the frames to the LSTM as they are.
-    """
+    """Set ``cell``'s pred MSE, LSTM loss history and decoded sample."""
     config = inputs.config
     method, m = cell.method, cell.m
     num_train, t_len, _ = inputs.train_set.sequences.shape
-    z_train_flat = inputs.train_set.frames()
-    z_test_flat = inputs.test_set.frames()
-    if codec is not None:
-        z_train_flat = spectral.encode_frames(codec, z_train_flat)
-        z_test_flat = spectral.encode_frames(codec, z_test_flat)
+    z_train = spectral.encode_frames(codec, inputs.train_set.frames())
+    z_test = spectral.encode_frames(codec, inputs.test_set.frames())
     # the LSTM predicts o*tanh(c), which lies in (-1, 1): each
     # representation is divided by its own peak training magnitude, or
     # every latent beyond +-1 would be a target the model cannot reach
-    scale = max(float(np.max(np.abs(z_train_flat))), 1e-12)
-    z_train = (z_train_flat / scale).reshape(num_train, t_len, m)
-    z_test = (z_test_flat / scale).reshape(inputs.test_set.count, t_len, m)
+    scale = max(float(np.max(np.abs(z_train))), 1e-12)
+    z_train /= scale
+    z_test /= scale
+    z_train = z_train.reshape(num_train, t_len, m)
+    z_test = z_test.reshape(inputs.test_set.count, t_len, m)
 
     def decode_fn(zp):  # (k, m) latents -> (k, n) frames
-        zp = zp * scale
-        return zp if codec is None else spectral.decode_frames(codec, zp)
+        return spectral.decode_frames(codec, zp * scale)
 
     method_ix = METHODS.index(method)
     cell0 = lstm.init_cell(m, _stream(config.seed, _STREAM_LSTM_INIT,

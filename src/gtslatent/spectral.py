@@ -2,8 +2,9 @@
 
 A :class:`LinearCodec` is one (n, m) matrix ``A``: encoding is ``x A``
 and decoding is ``z A^T``, row by row, so the round trip is
-``x A A^T``.  Both representations the package compares are such a
-codec.  A graph Fourier basis is the eigenvector matrix of a graph
+``x A A^T``.  Every representation the package compares is such a
+codec, the uncompressed baseline included: it is the identity.  A
+graph Fourier basis is the eigenvector matrix of a graph
 Laplacian with columns ordered by ascending eigenvalue; keeping the
 first ``m`` columns keeps the ``m`` lowest graph frequencies, and the
 round trip is the orthogonal projection onto the retained span.  The

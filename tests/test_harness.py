@@ -468,6 +468,30 @@ class TestPredictionExperiment:
             assert np.isfinite(cell.recon_mse)
             assert cell.lstm_loss_history == []
 
+    def test_raw_cell_scores_the_scaled_frames_bit_for_bit(self):
+        # raw's identity codec changes no bit of what the LSTM sees or of
+        # what it scores: the cell equals an LSTM trained on the scaled
+        # frames and decoded by scaling back
+        config = harness.config_from_dict(_tiny_config(methods=["raw"]))
+        cell, = harness.run_prediction_experiment(config).cells
+        assert cell.recon_mse == 0.0
+        train, test = data.split(
+            harness.build_dataset(config), config.train_fraction,
+            harness._stream(config.seed, harness._STREAM_SPLIT))
+        scale = float(np.max(np.abs(train.sequences)))
+        method_ix, m = harness.METHODS.index("raw"), 36
+        trained, _ = lstm.train(
+            lstm.init_cell(m, harness._stream(
+                config.seed, harness._STREAM_LSTM_INIT, method_ix, m)),
+            train.sequences / scale, config.lstm_schedule, config.warmup,
+            harness._stream(config.seed, harness._STREAM_LSTM_TRAIN,
+                            method_ix, m))
+        pred_mse, decoded = lstm.evaluate_prediction(
+            trained, test.sequences / scale, test.sequences, config.warmup,
+            lambda z: z * scale)
+        assert cell.pred_mse == pred_mse
+        assert cell.sample_prediction.tobytes() == decoded[0].tobytes()
+
     def test_latent_scale_auto_and_dump(self, tmp_path):
         cfg = _tiny_config(latent_dims=[4], latent_scale="auto",
                            methods=["gft-grid", "raw"])

@@ -6,7 +6,8 @@ peak measured at n=576 (a 24x24 grid, 100 frames) plus about 0.1 n^2,
 rounded down to a multiple of 0.05.  What a peak holds is noted beside
 each bound; the figures at n=2025 are in CHANGES.md.  The STL-10 and
 dataset-file readers, which run in the same process, are bounded in
-multiples of their result.
+multiples of their result.  A prediction cell, which runs in a worker,
+is bounded in multiples of the training frames it encodes.
 """
 
 import io
@@ -159,3 +160,44 @@ def test_load_dataset_rejects_an_oversized_header_unallocated(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+@pytest.fixture(scope="module")
+def cell_inputs():
+    """What every cell of a prediction run at m = n reads.
+
+    Zero-epoch schedules keep the test fast; a cell's peak is set by its
+    latents and decoded predictions, which training does not resize.
+    """
+    config = harness.config_from_dict({
+        "dataset": {"type": "moving_crop",
+                    "source": {"type": "textured", "count": 600,
+                               "height": 16, "width": 16},
+                    "crop": 8, "frames": 10, "sequences": 600},
+        "methods": ["gft-grid", "ae", "raw"], "latent_dims": [64],
+        "train_fraction": 0.7, "warmup": 5, "seed": 1,
+        "ae_schedule": {"epochs": 0, "batch_size": 25, "lr0": 0.003},
+        "lstm_schedule": {"epochs": 0, "batch_size": 6, "lr0": 0.001}})
+    captured = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_run_cells",
+                   lambda inputs, cells: captured.append(inputs) or [])
+        harness.run_prediction_experiment(config)
+    return captured[0]
+
+
+@pytest.mark.parametrize("method", ["gft-grid", "ae", "raw"])
+def test_prediction_cell_scales_its_latents_in_place(cell_inputs, method):
+    # measured 3.05 (gft-grid) and 3.07 (ae, raw) training frames: the
+    # encoded frames, scaled in place, and the decoded predictions; was
+    # 4.48 and 4.49 for gft-grid and ae with a scaled copy of each stack
+    # of latents (raw, which encoded nothing, read 3.05)
+    train_bytes = cell_inputs.train_set.sequences.nbytes
+    tracemalloc.start()
+    try:
+        cell = harness._run_cell(cell_inputs, method, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(cell.pred_mse)
+    assert peak <= 3.5 * train_bytes
